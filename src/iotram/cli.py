@@ -7,8 +7,10 @@ I/O error, 4 validation or fit failure, 5 bind failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import ipaddress
 import json
+import math
 import os
 import sys
 
@@ -22,11 +24,11 @@ from .net.service import (
 )
 from .power.dataset import (
     CalibrationDataset,
-    CALIBRATION_HEADER,
     DiagnosticCode,
     builtin_dataset,
     load_calibration_file,
     validate_dataset,
+    write_calibration,
 )
 from .power.model import (
     DegenerateFit,
@@ -38,15 +40,10 @@ from .power.model import (
     power_at,
     predict,
 )
-from .power.reductions import (
-    CLAIM_TOLERANCE_PP,
-    PUBLISHED_CLAIMS,
-    comparison_matrix,
-    reduction,
-)
+from .power.reductions import comparison_matrix, reduction, unreachable_claims
 from .power.standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
 from .ram.core import KEY_MASK, InvalidConfig, IotRam, RamConfig
-from .ram.trace import TraceError, parse_trace, run_trace
+from .ram.trace import TraceError, parse_trace, render_outcome, run_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,16 +115,7 @@ def _load_dataset(path: str | None) -> CalibrationDataset:
 
 
 def _cell_record(std: IoStandard, ch: WlanChannel, cell) -> dict:
-    return {
-        "standard": std.name,
-        "channel_ghz": ch.carrier_ghz,
-        "clock_w": cell.clock_w,
-        "signal_w": cell.signal_w,
-        "bram_w": cell.bram_w,
-        "io_w": cell.io_w,
-        "leakage_w": cell.leakage_w,
-        "total_w": cell.total_w,
-    }
+    return {"standard": std.name, "channel_ghz": ch.carrier_ghz, **dataclasses.asdict(cell)}
 
 
 def cmd_table(args) -> int:
@@ -140,14 +128,7 @@ def cmd_table(args) -> int:
         raise CliError(EXIT_VALIDATION, f"dataset incomplete: {exc.args[0]}") from None
 
     if args.format == "csv":
-        print(CALIBRATION_HEADER)
-        for s in standards:
-            for c in channels:
-                cell = cells[(s, c)]
-                print(
-                    f"{s.name},{c.carrier_ghz},{cell.clock_w:.3f},{cell.signal_w:.3f},"
-                    f"{cell.bram_w:.3f},{cell.io_w:.3f},{cell.leakage_w:.3f},{cell.total_w:.3f}"
-                )
+        print(write_calibration(CalibrationDataset(cells)), end="")
     elif args.format == "json":
         records = [_cell_record(s, c, cells[(s, c)]) for s in standards for c in channels]
         print(json.dumps({"provenance": ds.provenance, "cells": records}, indent=2))
@@ -212,17 +193,12 @@ def cmd_compare(args) -> int:
     # Quoted figures that the grid cannot reproduce are flagged alongside the
     # computed results, never printed in their place.
     if (base[0], alt[0]) == (IoStandard.LVCMOS25, IoStandard.LVCMOS12):
-        selected = {ch for ch in channels}
-        for claim in PUBLISHED_CLAIMS:
-            if claim.rail is not rail or claim.channel not in selected:
-                continue
-            computed = reduction(ds, rail, base[0], alt[0], claim.channel).percent
-            if abs(computed - claim.quoted_percent) > CLAIM_TOLERANCE_PP:
-                print(
-                    f"flagged: {claim.source} quotes {claim.quoted_percent:.2f}% at "
-                    f"{claim.channel.carrier_ghz} GHz; the grid yields {computed:.2f}%",
-                    file=sys.stderr,
-                )
+        for claim, report in unreachable_claims(ds, rail, channels):
+            print(
+                f"flagged: {claim.source} quotes {claim.quoted_percent:.2f}% at "
+                f"{claim.channel.carrier_ghz} GHz; the grid yields {report.percent:.2f}%",
+                file=sys.stderr,
+            )
     return EXIT_OK
 
 
@@ -278,8 +254,8 @@ def _fit_record(f) -> dict:
 
 
 def cmd_predict(args) -> int:
-    if args.freq_ghz <= 0:
-        raise CliError(EXIT_USAGE, f"--freq-ghz must be > 0, got {args.freq_ghz}")
+    if not 0 < args.freq_ghz < math.inf:
+        raise CliError(EXIT_USAGE, f"--freq-ghz must be finite and > 0, got {args.freq_ghz}")
     ds = _load_dataset(args.input)
     standards = _parse_standards(args.standard)
     if len(standards) != 1:
@@ -291,21 +267,8 @@ def cmd_predict(args) -> int:
     pb = predict(coeffs, standards[0], args.freq_ghz)
 
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "standard": standards[0].name,
-                    "freq_ghz": args.freq_ghz,
-                    "clock_w": pb.clock_w,
-                    "signal_w": pb.signal_w,
-                    "bram_w": pb.bram_w,
-                    "io_w": pb.io_w,
-                    "leakage_w": pb.leakage_w,
-                    "total_w": pb.total_w,
-                },
-                indent=2,
-            )
-        )
+        doc = {"standard": standards[0].name, "freq_ghz": args.freq_ghz, **dataclasses.asdict(pb)}
+        print(json.dumps(doc, indent=2))
     else:
         print(f"predicted power for {standards[0].name} at {args.freq_ghz} GHz, watts")
         for rail in POWER_RAILS + (Rail.TOTAL,):
@@ -357,9 +320,9 @@ def cmd_ram_run(args) -> int:
         raise CliError(EXIT_USAGE, str(exc)) from None
 
     results, summary = run_trace(ram, ops, key)
-    for op, outcome in results:
+    for op, status, data in results:
         mnemonic = f"W {op.addr} {op.data:08X}" if op.is_write else f"R {op.addr}"
-        print(f"{op.lineno:>5}  {mnemonic:<24} -> {outcome.render()}")
+        print(f"{op.lineno:>5}  {mnemonic:<24} -> {render_outcome(op, status, data)}")
     print(
         f"cycles={summary.cycles} writes={summary.writes} reads={summary.reads} "
         f"auth_fails={summary.auth_fails} range_errors={summary.range_errors}"
@@ -403,12 +366,14 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
 
-    host, port = service.address
-    print(
-        f"listening on {host}:{port} ({cfg.io_standard.name}, "
-        f"{cfg.channel.carrier_ghz} GHz, {ledger.per_cycle_j:.6e} J/cycle)"
-    )
+    # Ctrl-C may arrive while the listening line is printed; it must still
+    # close the socket and print the ledger.
     try:
+        host, port = service.address
+        print(
+            f"listening on {host}:{port} ({cfg.io_standard.name}, "
+            f"{cfg.channel.carrier_ghz} GHz, {ledger.per_cycle_j:.6e} J/cycle)"
+        )
         service.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -9,9 +9,11 @@ real IPv6 routing.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import struct
+from typing import NamedTuple
+
+from ..ram.core import Status
 
 MAGIC = b"IR"
 VERSION = 1
@@ -37,16 +39,7 @@ class Opcode(enum.IntEnum):
     STATUS = 2
 
 
-class Status(enum.IntEnum):
-    OK = 0
-    AUTH_FAIL = 1
-    ADDR_RANGE = 2
-    MALFORMED = 3
-    BAD_OPCODE = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class RequestFrame:
+class RequestFrame(NamedTuple):
     opcode: int
     target_key: int  # 128-bit unsigned
     addr: int
@@ -54,25 +47,28 @@ class RequestFrame:
     seq: int
 
 
-@dataclasses.dataclass(frozen=True)
-class ResponseFrame:
+class ResponseFrame(NamedTuple):
     status: Status
     data: int
     seq: int
 
 
 def encode_request(opcode: int, target_key: int, addr: int, data: int, seq: int) -> bytes:
+    """Build a request; ValueError for an unknown opcode or a field too wide for its slot."""
     if opcode not in (Opcode.READ, Opcode.WRITE, Opcode.STATUS):
         raise ValueError(f"opcode must be 0, 1 or 2, got {opcode}")
-    return _REQUEST.pack(
-        MAGIC,
-        VERSION,
-        opcode,
-        target_key.to_bytes(16, "big"),
-        addr,
-        data,
-        seq,
-    )
+    try:
+        return _REQUEST.pack(
+            MAGIC,
+            VERSION,
+            opcode,
+            target_key.to_bytes(16, "big"),
+            addr,
+            data,
+            seq,
+        )
+    except (OverflowError, struct.error) as exc:
+        raise ValueError(f"request field out of range: {exc}") from None
 
 
 def decode_request(buf: bytes) -> RequestFrame:

@@ -17,12 +17,10 @@ import threading
 from ..power.dataset import CalibrationDataset, builtin_dataset
 from ..power.model import energy_per_cycle, power_at
 from ..power.standards import IoStandard, WlanChannel
-from ..ram.core import AccessKind, IotRam
+from ..ram.core import IotRam, Status
 from .frames import (
     MalformedFrame,
     Opcode,
-    REQUEST_LEN,
-    Status,
     decode_request,
     encode_response,
     salvage_seq,
@@ -82,34 +80,22 @@ def handle_datagram(datagram: bytes, ram: IotRam, ledger: EnergyLedger) -> bytes
     """Process one request datagram and build its response."""
     cycles_before = ram.cycle_count
     try:
-        frame = decode_request(datagram)
+        opcode, key, addr, data, seq = decode_request(datagram)
     except MalformedFrame:
         ledger.record(Status.MALFORMED, 0)
         return encode_response(Status.MALFORMED, 0, salvage_seq(datagram))
 
-    if frame.opcode == Opcode.READ:
-        outcome = ram.read(frame.target_key, frame.addr)
-        status, data = _map_outcome(outcome)
-    elif frame.opcode == Opcode.WRITE:
-        outcome = ram.write(frame.target_key, frame.addr, frame.data)
-        status, data = _map_outcome(outcome)
-    elif frame.opcode == Opcode.STATUS:
+    if opcode == Opcode.READ:
+        status, data = ram.read(key, addr)
+    elif opcode == Opcode.WRITE:
+        status, data = ram.write(key, addr, data)
+    elif opcode == Opcode.STATUS:
         status, data = Status.OK, ram.cycle_count & 0xFFFFFFFF
     else:
         status, data = Status.BAD_OPCODE, 0
 
     ledger.record(status, ram.cycle_count - cycles_before)
-    return encode_response(status, data, frame.seq)
-
-
-def _map_outcome(outcome) -> tuple[Status, int]:
-    if outcome.kind is AccessKind.READ_OK:
-        return Status.OK, outcome.data
-    if outcome.kind is AccessKind.WRITE_OK:
-        return Status.OK, 0
-    if outcome.kind is AccessKind.AUTH_FAIL:
-        return Status.AUTH_FAIL, 0
-    return Status.ADDR_RANGE, 0
+    return encode_response(status, data, seq)
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:

@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from .dataset import CalibrationDataset, MissingCell, PowerBreakdown
 from .standards import IoStandard, Rail, WlanChannel
 
 
 class DegenerateFit(ValueError):
-    """Raised when the grid does not span enough distinct frequencies to fit."""
+    """Raised when the grid, or one fitted series of it, does not span enough
+    distinct frequencies to fit."""
 
 
 class NonPositiveFrequency(ValueError):
-    """Raised for predictions or energy queries at f <= 0."""
+    """Raised for predictions or energy queries at f <= 0, NaN or infinity."""
 
 
 class FitKind(enum.Enum):
@@ -51,19 +53,6 @@ class ModelCoefficients:
     io: dict[IoStandard, RailFit]
     leakage: dict[IoStandard, RailFit]
 
-    def rail_fit(self, rail: Rail, std: IoStandard) -> RailFit:
-        if rail is Rail.CLOCK:
-            return self.clock
-        if rail is Rail.SIGNAL:
-            return self.signal
-        if rail is Rail.BRAM:
-            return self.bram
-        if rail is Rail.IO:
-            return self.io[std]
-        if rail is Rail.LEAKAGE:
-            return self.leakage[std]
-        raise ValueError(f"no fit for rail {rail}")
-
 
 def _through_origin(points: list[tuple[float, float]]) -> RailFit:
     # OLS through (0, 0): slope = sum(f*y) / sum(f^2)
@@ -73,7 +62,11 @@ def _through_origin(points: list[tuple[float, float]]) -> RailFit:
 
 
 def _affine(points: list[tuple[float, float]]) -> RailFit:
-    # Standard normal equations for y = slope*f + intercept.
+    # Standard normal equations for y = slope*f + intercept; they have one
+    # solution only when the series holds two or more distinct frequencies.
+    distinct = {f for f, _ in points}
+    if len(distinct) < 2:
+        raise DegenerateFit(f"affine fit needs 2 distinct frequencies, got {sorted(distinct)}")
     n = len(points)
     sf = sum(f for f, _ in points)
     sy = sum(y for _, y in points)
@@ -101,7 +94,7 @@ def fit(ds: CalibrationDataset) -> ModelCoefficients:
 
     Shared rails pool every standard's points (their values coincide anyway);
     IO and leakage are fitted per standard. Raises DegenerateFit when the grid
-    holds fewer than two distinct frequencies.
+    holds fewer than two distinct frequencies, or one standard's cells do.
     """
     distinct = {ch.carrier_ghz for _, ch in ds.cells}
     if len(distinct) < 2:
@@ -128,9 +121,9 @@ def fit(ds: CalibrationDataset) -> ModelCoefficients:
 
 
 def predict(coeffs: ModelCoefficients, std: IoStandard, f_ghz: float) -> PowerBreakdown:
-    """Evaluate the fitted laws at an arbitrary positive frequency."""
-    if f_ghz <= 0:
-        raise NonPositiveFrequency(f"frequency must be > 0 GHz, got {f_ghz}")
+    """Evaluate the fitted laws at an arbitrary positive, finite frequency."""
+    if not 0 < f_ghz < math.inf:
+        raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
     clock = max(0.0, coeffs.clock.at(f_ghz))
     signal = max(0.0, coeffs.signal.at(f_ghz))
     bram = max(0.0, coeffs.bram.at(f_ghz))
@@ -185,8 +178,8 @@ def power_at(
     coeffs: ModelCoefficients | None = None,
 ) -> PowerBreakdown:
     """Breakdown at a frequency: grid cell when on-grid, fitted prediction otherwise."""
-    if f_ghz <= 0:
-        raise NonPositiveFrequency(f"frequency must be > 0 GHz, got {f_ghz}")
+    if not 0 < f_ghz < math.inf:
+        raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
     try:
         ch = WlanChannel.from_ghz(f_ghz)
     except ValueError:
@@ -198,6 +191,6 @@ def power_at(
 
 def energy_per_cycle(pb: PowerBreakdown, f_ghz: float) -> float:
     """Joules drawn per clock cycle: total watts over cycles per second."""
-    if f_ghz <= 0:
-        raise NonPositiveFrequency(f"frequency must be > 0 GHz, got {f_ghz}")
+    if not 0 < f_ghz < math.inf:
+        raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
     return pb.total_w / (f_ghz * 1e9)

@@ -5,32 +5,29 @@ from .core import (
     KEY_MASK,
     WORD_BITS,
     WORD_MASK,
-    AccessKind,
-    AccessOutcome,
     InvalidConfig,
     IotRam,
     RamConfig,
-    ram_new,
+    Status,
 )
 from .rtl import RtlStatsReport, rtl_stats
-from .trace import TraceError, TraceOp, TraceSummary, parse_trace, run_trace
+from .trace import TraceError, TraceOp, TraceSummary, parse_trace, render_outcome, run_trace
 
 __all__ = [
-    "AccessKind",
-    "AccessOutcome",
     "InvalidConfig",
     "IotRam",
     "KEY_BITS",
     "KEY_MASK",
     "RamConfig",
     "RtlStatsReport",
+    "Status",
     "TraceError",
     "TraceOp",
     "TraceSummary",
     "WORD_BITS",
     "WORD_MASK",
     "parse_trace",
-    "ram_new",
+    "render_outcome",
     "rtl_stats",
     "run_trace",
 ]

@@ -56,24 +56,14 @@ class RamConfig:
             )
 
 
-class AccessKind(enum.Enum):
-    READ_OK = "ReadOk"
-    WRITE_OK = "WriteOk"
-    AUTH_FAIL = "AuthFail"
-    ADDR_RANGE = "AddrRange"
+class Status(enum.IntEnum):
+    """Outcome of one access; each value is also a response frame's status byte."""
 
-
-@dataclasses.dataclass(frozen=True)
-class AccessOutcome:
-    """Result of one submitted operation; data only accompanies READ_OK."""
-
-    kind: AccessKind
-    data: int | None = None
-
-    def render(self) -> str:
-        if self.kind is AccessKind.READ_OK:
-            return f"ReadOk {self.data:08X}"
-        return self.kind.value
+    OK = 0
+    AUTH_FAIL = 1
+    ADDR_RANGE = 2
+    MALFORMED = 3
+    BAD_OPCODE = 4
 
 
 class IotRam:
@@ -85,30 +75,27 @@ class IotRam:
         self.cycle_count = 0
         self.last_dout = 0
 
-    def _gate(self, key: int, addr: int) -> AccessOutcome | None:
+    def _gate(self, key: int, addr: int) -> Status:
         # Both checks consume the cycle; auth is checked before the address.
         self.cycle_count += 1
         if key != self.config.device_ipv6:
-            return AccessOutcome(AccessKind.AUTH_FAIL)
+            return Status.AUTH_FAIL
         if not 0 <= addr < self.config.depth_words:
-            return AccessOutcome(AccessKind.ADDR_RANGE)
-        return None
+            return Status.ADDR_RANGE
+        return Status.OK
 
-    def write(self, key: int, addr: int, data: int) -> AccessOutcome:
-        denied = self._gate(key, addr)
-        if denied is not None:
-            return denied
-        self.words[addr] = data & WORD_MASK
-        return AccessOutcome(AccessKind.WRITE_OK)
+    def write(self, key: int, addr: int, data: int) -> tuple[Status, int]:
+        """Store a word; returns (status, 0), status being OK, AUTH_FAIL or ADDR_RANGE."""
+        status = self._gate(key, addr)
+        if status is Status.OK:
+            self.words[addr] = data & WORD_MASK
+        return status, 0
 
-    def read(self, key: int, addr: int) -> AccessOutcome:
-        denied = self._gate(key, addr)
-        if denied is not None:
-            return denied
+    def read(self, key: int, addr: int) -> tuple[Status, int]:
+        """Load a word; returns (OK, word), or (AUTH_FAIL or ADDR_RANGE, 0)."""
+        status = self._gate(key, addr)
+        if status is not Status.OK:
+            return status, 0
         value = self.words[addr]
         self.last_dout = value
-        return AccessOutcome(AccessKind.READ_OK, data=value)
-
-
-def ram_new(config: RamConfig) -> IotRam:
-    return IotRam(config)
+        return status, value

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .core import WORD_MASK, AccessKind, AccessOutcome, IotRam
+from .core import WORD_MASK, IotRam, Status
 
 
 class TraceError(ValueError):
@@ -76,23 +76,32 @@ def _parse_addr(lineno: int, text: str) -> int:
 
 def run_trace(
     ram: IotRam, ops: list[TraceOp], key: int
-) -> tuple[list[tuple[TraceOp, AccessOutcome]], TraceSummary]:
-    """Execute parsed ops in order; returns per-op outcomes and tallies."""
+) -> tuple[list[tuple[TraceOp, Status, int]], TraceSummary]:
+    """Execute parsed ops in order; returns (op, status, data) per op and tallies."""
     results = []
     summary = TraceSummary()
     for op in ops:
         if op.is_write:
-            outcome = ram.write(key, op.addr, op.data)
+            status, data = ram.write(key, op.addr, op.data)
         else:
-            outcome = ram.read(key, op.addr)
-        results.append((op, outcome))
+            status, data = ram.read(key, op.addr)
+        results.append((op, status, data))
         summary.cycles += 1
-        if outcome.kind is AccessKind.WRITE_OK:
-            summary.writes += 1
-        elif outcome.kind is AccessKind.READ_OK:
-            summary.reads += 1
-        elif outcome.kind is AccessKind.AUTH_FAIL:
+        if status is Status.AUTH_FAIL:
             summary.auth_fails += 1
-        else:
+        elif status is Status.ADDR_RANGE:
             summary.range_errors += 1
+        elif op.is_write:
+            summary.writes += 1
+        else:
+            summary.reads += 1
     return results, summary
+
+
+def render_outcome(op: TraceOp, status: Status, data: int) -> str:
+    """The word `ram-run` prints for one executed op."""
+    if status is Status.AUTH_FAIL:
+        return "AuthFail"
+    if status is Status.ADDR_RANGE:
+        return "AddrRange"
+    return "WriteOk" if op.is_write else f"ReadOk {data:08X}"

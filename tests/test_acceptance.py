@@ -31,7 +31,7 @@ from iotram.power import (
     max_relative_residuals,
     reduction,
 )
-from iotram.ram import AccessKind, RamConfig, ram_new
+from iotram.ram import IotRam, RamConfig
 
 DEVICE_KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 
@@ -151,7 +151,7 @@ def test_c7_ram_map_oracle():
     sequences = 10_000
     total_ops = 0
     for _ in range(sequences):
-        ram = ram_new(RamConfig(depth_words=depth, device_ipv6=DEVICE_KEY))
+        ram = IotRam(RamConfig(depth_words=depth, device_ipv6=DEVICE_KEY))
         model: dict[int, int] = {}
         seq_ops = rng.randint(1, 8)
         for _ in range(seq_ops):
@@ -162,20 +162,20 @@ def test_c7_ram_map_oracle():
             outcome = ram.write(key, addr, data) if write else ram.read(key, addr)
             total_ops += 1
             if key != DEVICE_KEY:
-                assert outcome.kind is AccessKind.AUTH_FAIL
+                assert outcome[0] is Status.AUTH_FAIL
             elif not 0 <= addr < depth:
-                assert outcome.kind is AccessKind.ADDR_RANGE
+                assert outcome[0] is Status.ADDR_RANGE
             elif write:
-                assert outcome.kind is AccessKind.WRITE_OK
+                assert outcome[0] is Status.OK
                 model[addr] = data
             else:
-                assert outcome.kind is AccessKind.READ_OK
-                assert outcome.data == model.get(addr, 0)
+                assert outcome[0] is Status.OK
+                assert outcome[1] == model.get(addr, 0)
         assert ram.cycle_count == seq_ops
     assert total_ops >= 10_000
 
     # Wrong-key fuzz against a populated memory.
-    ram = ram_new(RamConfig(depth_words=depth, device_ipv6=DEVICE_KEY))
+    ram = IotRam(RamConfig(depth_words=depth, device_ipv6=DEVICE_KEY))
     for addr in range(depth):
         ram.write(DEVICE_KEY, addr, addr * 7 + 1)
     snapshot = list(ram.words)
@@ -188,7 +188,7 @@ def test_c7_ram_map_oracle():
             outcome = ram.write(key, addr, rng.getrandbits(32))
         else:
             outcome = ram.read(key, addr)
-        assert outcome.kind is AccessKind.AUTH_FAIL
+        assert outcome[0] is Status.AUTH_FAIL
     assert ram.words == snapshot
     print(f"C7 PASS: {sequences} sequences ({total_ops} ops) match the map model; "
           "10000 wrong-key ops left memory untouched")
@@ -209,7 +209,7 @@ def test_c8_protocol_round_trip_and_fuzz():
             opcode, key, addr, data, seq,
         )
 
-    ram = ram_new(RamConfig(device_ipv6=DEVICE_KEY))
+    ram = IotRam(RamConfig(device_ipv6=DEVICE_KEY))
     ledger = make_ledger(SessionConfig(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4))
     total = 100_000
     for i in range(total):
@@ -243,7 +243,7 @@ def test_c8_protocol_round_trip_and_fuzz():
 
 def test_c9_energy_ledger():
     """1000 accepted ops at (LVCMOS12, 2.4 GHz) accumulate 2.0204 uJ +/- 0.001 uJ."""
-    ram = ram_new(RamConfig(device_ipv6=DEVICE_KEY))
+    ram = IotRam(RamConfig(device_ipv6=DEVICE_KEY))
     ledger = make_ledger(SessionConfig(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4))
     for i in range(1000):
         response = decode_response(

@@ -1,7 +1,9 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import io
 import json
 import socket
+import sys
 
 import pytest
 
@@ -144,6 +146,21 @@ def test_fit_degenerate_grid(capsys, tmp_path):
     assert "degenerate" in err
 
 
+def test_fit_degenerate_series(capsys, tmp_path):
+    # Two frequencies in the grid, but LVCMOS25 has a single cell.
+    path = tmp_path / "partial.csv"
+    path.write_text(
+        CALIBRATION_HEADER
+        + "\nLVCMOS12,0.9,0.061,0.033,1.148,0.060,1.321,2.624"
+        + "\nLVCMOS12,2.4,0.161,0.091,3.062,0.160,1.374,4.849"
+        + "\nLVCMOS25,2.4,0.161,0.091,3.062,0.457,1.383,5.155\n"
+    )
+    code, out, err = run(capsys, "fit", "--input", str(path))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("iotram: degenerate fit: ")
+    assert out == ""
+
+
 def test_predict_on_grid_frequency(capsys):
     code, out, _ = run(capsys, "predict", "--standard", "LVCMOS12", "--freq-ghz", "2.4", "--format", "json")
     assert code == EXIT_OK
@@ -152,10 +169,12 @@ def test_predict_on_grid_frequency(capsys):
     assert abs(doc["total_w"] - 4.849) < 0.05
 
 
-def test_predict_rejects_nonpositive(capsys):
-    code, _, err = run(capsys, "predict", "--standard", "LVCMOS12", "--freq-ghz", "0")
+@pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf", "-inf"])
+def test_predict_rejects_nonpositive(capsys, freq):
+    code, out, err = run(capsys, "predict", "--standard", "LVCMOS12", f"--freq-ghz={freq}")
     assert code == EXIT_USAGE
     assert "freq" in err
+    assert out == ""
 
 
 def test_validate_builtin_documents_discrepancies(capsys):
@@ -294,6 +313,32 @@ def test_serve_honors_bind_env_var(capsys, monkeypatch):
         code, _, err = run(capsys, "serve")
         assert code == EXIT_BIND
         assert str(port) in err
+
+
+class _InterruptedStdout(io.StringIO):
+    """Stdout whose first write raises KeyboardInterrupt, as a Ctrl-C would."""
+
+    def __init__(self):
+        super().__init__()
+        self.interrupted = False
+
+    def write(self, text):
+        if not self.interrupted:
+            self.interrupted = True
+            raise KeyboardInterrupt
+        return super().write(text)
+
+
+def test_serve_ctrl_c_during_listening_line(monkeypatch):
+    stdout = _InterruptedStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["serve", "--bind", "127.0.0.1:0"])
+    except KeyboardInterrupt:
+        pytest.fail("a Ctrl-C during the listening line escaped main")
+    assert code == EXIT_OK
+    assert stdout.interrupted
+    assert stdout.getvalue() == "ops_total=0 [] cycles=0 energy=0.000000e+00 J\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -20,6 +20,7 @@ from iotram.net import (
     encode_response,
     salvage_seq,
 )
+from iotram.ram import Status as RamStatus
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 
@@ -46,9 +47,24 @@ def test_request_data_and_opcode_bytes():
     assert raw[3] == 0x02
 
 
-def test_encode_rejects_bad_opcode():
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (3, KEY, 0, 0, 0),
+        (Opcode.READ, 1 << 128, 0, 0, 0),
+        (Opcode.READ, -1, 0, 0, 0),
+        (Opcode.READ, KEY, 1 << 32, 0, 0),
+        (Opcode.READ, KEY, -1, 0, 0),
+        (Opcode.WRITE, KEY, 0, 1 << 32, 0),
+        (Opcode.WRITE, KEY, 0, -1, 0),
+        (Opcode.READ, KEY, 0, 0, 1 << 16),
+        (Opcode.READ, KEY, 0, 0, -1),
+    ],
+)
+def test_encode_rejects_bad_opcode(fields):
+    # Out-of-range fields are ValueError too, not OverflowError or struct.error.
     with pytest.raises(ValueError):
-        encode_request(3, KEY, 0, 0, 0)
+        encode_request(*fields)
 
 
 def test_decode_round_trip():
@@ -84,6 +100,14 @@ def test_salvage_seq():
     assert salvage_seq(torn) == 0x1234
     assert salvage_seq(good[:29]) == 0
     assert salvage_seq(b"") == 0
+
+
+def test_wire_status_is_the_ram_status():
+    # One outcome vocabulary: the RAM's results go on the wire unmapped.
+    assert Status is RamStatus
+    assert [(s.name, int(s)) for s in Status] == [
+        ("OK", 0), ("AUTH_FAIL", 1), ("ADDR_RANGE", 2), ("MALFORMED", 3), ("BAD_OPCODE", 4),
+    ]
 
 
 def test_response_layout_frozen():

@@ -114,13 +114,6 @@ def test_residual_bounds(ds, coeffs):
         assert res[f"leakage[{std.name}]"] < 0.01
 
 
-def test_rail_fit_dispatch(coeffs):
-    assert coeffs.rail_fit(Rail.CLOCK, IoStandard.LVCMOS12) is coeffs.clock
-    assert coeffs.rail_fit(Rail.IO, IoStandard.LVCMOS25) is coeffs.io[IoStandard.LVCMOS25]
-    with pytest.raises(ValueError):
-        coeffs.rail_fit(Rail.TOTAL, IoStandard.LVCMOS12)
-
-
 def test_through_origin_homogeneity(coeffs):
     # No intercept means doubling the frequency doubles the prediction.
     for railfit in (coeffs.clock, coeffs.bram, coeffs.io[IoStandard.LVCMOS18]):
@@ -135,6 +128,23 @@ def test_degenerate_single_frequency(ds):
     )
     with pytest.raises(DegenerateFit):
         fit(narrow)
+
+
+def test_degenerate_series_in_partial_grid(ds):
+    # The grid spans five frequencies, but LVCMOS25 has one cell, so its
+    # affine leakage line is undetermined.
+    keep = {
+        (s, c): cell
+        for (s, c), cell in ds.cells.items()
+        if s is IoStandard.LVCMOS12 or c is WlanChannel.GHZ_2_4
+    }
+    partial = CalibrationDataset(cells=keep, provenance="partial")
+    with pytest.raises(DegenerateFit):
+        fit(partial)
+    with pytest.raises(DegenerateFit):
+        power_at(partial, IoStandard.LVCMOS25, 4.2)
+    on_grid = power_at(partial, IoStandard.LVCMOS25, 2.4)
+    assert on_grid == partial.lookup(IoStandard.LVCMOS25, WlanChannel.GHZ_2_4)
 
 
 def test_fit_accepts_partial_grid(ds):
@@ -164,11 +174,15 @@ def test_predict_clamps_at_zero(coeffs):
     assert pb.total_w >= 0.0
 
 
-def test_predict_rejects_nonpositive(coeffs):
+NOT_POSITIVE_FINITE = (0.0, -2.4, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("f_ghz", NOT_POSITIVE_FINITE)
+def test_predict_rejects_nonpositive(ds, coeffs, f_ghz):
     with pytest.raises(NonPositiveFrequency):
-        predict(coeffs, IoStandard.LVCMOS12, 0.0)
+        predict(coeffs, IoStandard.LVCMOS12, f_ghz)
     with pytest.raises(NonPositiveFrequency):
-        predict(coeffs, IoStandard.LVCMOS12, -2.4)
+        power_at(ds, IoStandard.LVCMOS12, f_ghz, coeffs)
 
 
 def test_power_at_prefers_grid_cell(ds, coeffs):
@@ -191,8 +205,9 @@ def test_energy_per_cycle_from_grid(ds):
     assert math.isclose(energy_per_cycle(cell, 0.9), 2.739 / 0.9e9, rel_tol=1e-12)
     assert abs(energy_per_cycle(cell, 0.9) - 3.0433e-9) < 1e-12
 
-    with pytest.raises(NonPositiveFrequency):
-        energy_per_cycle(cell, 0.0)
+    for f_ghz in NOT_POSITIVE_FINITE:
+        with pytest.raises(NonPositiveFrequency):
+            energy_per_cycle(cell, f_ghz)
 
 
 def test_io_slope_scaling_is_not_flat(coeffs):

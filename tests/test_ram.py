@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotram.ram import AccessKind, InvalidConfig, IotRam, RamConfig, ram_new
+from iotram.ram import InvalidConfig, IotRam, RamConfig, Status, TraceOp, render_outcome
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 WRONG = int(ipaddress.IPv6Address("2001:db8::2"))
@@ -14,7 +14,7 @@ WRONG = int(ipaddress.IPv6Address("2001:db8::2"))
 
 @pytest.fixture
 def ram():
-    return ram_new(RamConfig(device_ipv6=KEY))
+    return IotRam(RamConfig(device_ipv6=KEY))
 
 
 def test_default_geometry(ram):
@@ -47,40 +47,40 @@ def test_config_rejects_bad_geometry():
 def test_memory_starts_zeroed(ram):
     for addr in (0, 128, 255):
         out = ram.read(KEY, addr)
-        assert out.kind is AccessKind.READ_OK
-        assert out.data == 0
+        assert out[0] is Status.OK
+        assert out[1] == 0
 
 
 def test_write_read_round_trip(ram):
-    assert ram.write(KEY, 7, 0xDEADBEEF).kind is AccessKind.WRITE_OK
+    assert ram.write(KEY, 7, 0xDEADBEEF)[0] is Status.OK
     out = ram.read(KEY, 7)
-    assert out.kind is AccessKind.READ_OK
-    assert out.data == 0xDEADBEEF
+    assert out[0] is Status.OK
+    assert out[1] == 0xDEADBEEF
 
 
 def test_write_masks_to_word(ram):
     ram.write(KEY, 0, (1 << 40) | 0xABCD)
-    assert ram.read(KEY, 0).data == 0xABCD
+    assert ram.read(KEY, 0)[1] == 0xABCD
 
 
 def test_wrong_key_denied_without_mutation(ram):
     ram.write(KEY, 3, 0x1111)
     out = ram.write(WRONG, 3, 0x2222)
-    assert out.kind is AccessKind.AUTH_FAIL
-    assert out.data is None
-    assert ram.read(KEY, 3).data == 0x1111
-    assert ram.read(WRONG, 3).kind is AccessKind.AUTH_FAIL
+    assert out[0] is Status.AUTH_FAIL
+    assert out[1] == 0
+    assert ram.read(KEY, 3)[1] == 0x1111
+    assert ram.read(WRONG, 3)[0] is Status.AUTH_FAIL
 
 
 def test_auth_checked_before_address(ram):
     # A wrong key with an out-of-range address reports the key failure.
-    assert ram.write(WRONG, 9999, 5).kind is AccessKind.AUTH_FAIL
+    assert ram.write(WRONG, 9999, 5)[0] is Status.AUTH_FAIL
 
 
 def test_address_range(ram):
-    assert ram.write(KEY, 255, 1).kind is AccessKind.WRITE_OK
-    assert ram.write(KEY, 256, 1).kind is AccessKind.ADDR_RANGE
-    assert ram.read(KEY, -1).kind is AccessKind.ADDR_RANGE
+    assert ram.write(KEY, 255, 1)[0] is Status.OK
+    assert ram.write(KEY, 256, 1)[0] is Status.ADDR_RANGE
+    assert ram.read(KEY, -1)[0] is Status.ADDR_RANGE
 
 
 def test_every_operation_costs_one_cycle(ram):
@@ -103,10 +103,11 @@ def test_last_dout_holds_across_denials(ram):
 
 
 def test_outcome_render(ram):
-    ram.write(KEY, 1, 0xABC)
-    assert ram.read(KEY, 1).render() == "ReadOk 00000ABC"
-    assert ram.read(WRONG, 1).render() == "AuthFail"
-    assert ram.read(KEY, 300).render() == "AddrRange"
+    write, read = TraceOp(1, True, 1, 0xABC), TraceOp(2, False, 1)
+    assert render_outcome(write, *ram.write(KEY, 1, 0xABC)) == "WriteOk"
+    assert render_outcome(read, *ram.read(KEY, 1)) == "ReadOk 00000ABC"
+    assert render_outcome(read, *ram.read(WRONG, 1)) == "AuthFail"
+    assert render_outcome(read, *ram.read(KEY, 300)) == "AddrRange"
 
 
 ops_strategy = st.lists(
@@ -124,7 +125,7 @@ ops_strategy = st.lists(
 @given(ops=ops_strategy)
 def test_matches_map_model(ops):
     cfg = RamConfig(depth_words=64, device_ipv6=KEY)
-    ram = ram_new(cfg)
+    ram = IotRam(cfg)
     model: dict[int, int] = {}
     for kind, key, addr, data in ops:
         in_range = 0 <= addr < cfg.depth_words
@@ -133,13 +134,13 @@ def test_matches_map_model(ops):
         else:
             out = ram.read(key, addr)
         if key != KEY:
-            assert out.kind is AccessKind.AUTH_FAIL
+            assert out[0] is Status.AUTH_FAIL
         elif not in_range:
-            assert out.kind is AccessKind.ADDR_RANGE
+            assert out[0] is Status.ADDR_RANGE
         elif kind == "write":
-            assert out.kind is AccessKind.WRITE_OK
+            assert out[0] is Status.OK
             model[addr] = data
         else:
-            assert out.kind is AccessKind.READ_OK
-            assert out.data == model.get(addr, 0)
+            assert out[0] is Status.OK
+            assert out[1] == model.get(addr, 0)
     assert ram.cycle_count == len(ops)

@@ -21,7 +21,7 @@ from iotram.net import (
     serve,
 )
 from iotram.power import IoStandard, WlanChannel, builtin_dataset
-from iotram.ram import RamConfig, ram_new
+from iotram.ram import IotRam, RamConfig
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 WRONG = int(ipaddress.IPv6Address("2001:db8::2"))
@@ -33,7 +33,7 @@ def _session(bind="127.0.0.1:0"):
 
 @pytest.fixture
 def ram():
-    return ram_new(RamConfig(device_ipv6=KEY))
+    return IotRam(RamConfig(device_ipv6=KEY))
 
 
 @pytest.fixture
@@ -224,7 +224,7 @@ def test_bind_failure_on_occupied_port():
         holder.bind(("127.0.0.1", 0))
         port = holder.getsockname()[1]
         with pytest.raises(BindFailure):
-            serve(_session(f"127.0.0.1:{port}"), ram_new(RamConfig(device_ipv6=KEY)))
+            serve(_session(f"127.0.0.1:{port}"), IotRam(RamConfig(device_ipv6=KEY)))
 
 
 def test_service_context_manager(ram):

@@ -4,7 +4,7 @@ import ipaddress
 
 import pytest
 
-from iotram.ram import RamConfig, TraceError, parse_trace, ram_new, run_trace
+from iotram.ram import IotRam, RamConfig, TraceError, parse_trace, render_outcome, run_trace
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 
@@ -48,10 +48,10 @@ def test_parse_rejects(line, fragment):
 
 
 def test_run_trace_counts():
-    ram = ram_new(RamConfig(device_ipv6=KEY))
+    ram = IotRam(RamConfig(device_ipv6=KEY))
     ops = parse_trace("W 0 1\nW 1 2\nR 0\nR 1\nR 300\n")
     results, summary = run_trace(ram, ops, KEY)
-    assert [o.render() for _, o in results] == [
+    assert [render_outcome(*result) for result in results] == [
         "WriteOk",
         "WriteOk",
         "ReadOk 00000001",
@@ -65,8 +65,8 @@ def test_run_trace_counts():
 
 
 def test_run_trace_wrong_key():
-    ram = ram_new(RamConfig(device_ipv6=KEY))
+    ram = IotRam(RamConfig(device_ipv6=KEY))
     results, summary = run_trace(ram, parse_trace("W 0 1\nR 0\n"), KEY + 1)
     assert summary.auth_fails == 2
     assert summary.writes == 0
-    assert ram.read(KEY, 0).data == 0
+    assert ram.read(KEY, 0)[1] == 0
