@@ -1,7 +1,9 @@
 """Command-line surface for the power model, RAM simulator, and service.
 
 Exit codes are stable across subcommands: 0 success, 2 usage error, 3 file
-I/O error, 4 validation or fit failure, 5 bind failure.
+I/O error, 4 validation or fit failure, 5 bind failure. Subcommands call the
+library directly; `main` maps the library's errors to these codes through
+one table, `_ERROR_EXITS`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 
 from .net.service import (
     BIND_ENV_VAR,
+    BadEndpoint,
     BindFailure,
     DEFAULT_BIND,
     RamService,
@@ -24,7 +27,7 @@ from .net.service import (
 )
 from .power.dataset import (
     CalibrationDataset,
-    DiagnosticCode,
+    MissingCell,
     builtin_dataset,
     load_calibration_file,
     validate_dataset,
@@ -33,6 +36,7 @@ from .power.dataset import (
 from .power.model import (
     DegenerateFit,
     FitKind,
+    NonPositiveFrequency,
     energy_per_cycle,
     fit,
     io_slope_voltage_scaling,
@@ -40,7 +44,7 @@ from .power.model import (
     power_at,
     predict,
 )
-from .power.reductions import comparison_matrix, reduction, unreachable_claims
+from .power.reductions import ZeroBase, comparison_matrix, reduction, unreachable_claims
 from .power.standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
 from .ram.core import KEY_MASK, InvalidConfig, IotRam, RamConfig
 from .ram.trace import TraceError, parse_trace, render_outcome, run_trace
@@ -53,40 +57,30 @@ EXIT_BIND = 5
 
 DEFAULT_DEVICE_KEY = "2001:db8::1"
 
-#: Diagnostics that document known discrepancies in the published source
-#: rather than defects in the dataset itself; they do not fail validation.
-_DOCUMENTED_CODES = {DiagnosticCode.TABLE7_MISMATCH, DiagnosticCode.CLAIM_MISMATCH}
-
 
 class CliError(Exception):
+    """A failure only the command line can phrase: a bad name, key, file path
+    or option combination."""
+
     def __init__(self, exit_code: int, message: str):
         super().__init__(message)
         self.exit_code = exit_code
 
 
-def _parse_standards(text: str) -> list[IoStandard]:
-    if text.strip().lower() == "all":
-        return list(STANDARDS)
+def _parse(kind, text: str):
+    """A standard, channel or rail by name; an unknown name is a usage error."""
     try:
-        return [IoStandard.parse(text)]
+        return kind.parse(text)
     except ValueError as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
+
+
+def _parse_standards(text: str) -> list[IoStandard]:
+    return list(STANDARDS) if text.strip().lower() == "all" else [_parse(IoStandard, text)]
 
 
 def _parse_channels(text: str) -> list[WlanChannel]:
-    if text.strip().lower() == "all":
-        return list(CHANNELS)
-    try:
-        return [WlanChannel.parse(text)]
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
-
-
-def _parse_rail(text: str) -> Rail:
-    try:
-        return Rail.parse(text)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+    return list(CHANNELS) if text.strip().lower() == "all" else [_parse(WlanChannel, text)]
 
 
 def _parse_key(text: str) -> int:
@@ -122,10 +116,7 @@ def cmd_table(args) -> int:
     ds = _load_dataset(args.input)
     standards = _parse_standards(args.standard)
     channels = _parse_channels(args.channel)
-    try:
-        cells = {(s, c): ds.lookup(s, c) for s in standards for c in channels}
-    except KeyError as exc:
-        raise CliError(EXIT_VALIDATION, f"dataset incomplete: {exc.args[0]}") from None
+    cells = {(s, c): ds.lookup(s, c) for s in standards for c in channels}
 
     if args.format == "csv":
         print(write_calibration(CalibrationDataset(cells)), end="")
@@ -147,19 +138,13 @@ def cmd_table(args) -> int:
 
 def cmd_compare(args) -> int:
     ds = _load_dataset(args.input)
-    rail = _parse_rail(args.rail)
+    rail = _parse(Rail, args.rail)
     base = _parse_standards(args.base_std)
     alt = _parse_standards(args.alt_std)
     if len(base) != 1 or len(alt) != 1:
         raise CliError(EXIT_USAGE, "--from and --to take a single standard")
     channels = _parse_channels(args.channel)
-
-    try:
-        reports = [reduction(ds, rail, base[0], alt[0], ch) for ch in channels]
-    except KeyError as exc:
-        raise CliError(EXIT_VALIDATION, f"dataset incomplete: {exc.args[0]}") from None
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from None
+    reports = [reduction(ds, rail, base[0], alt[0], ch) for ch in channels]
 
     if args.format == "csv":
         print("channel_ghz,rail,base_standard,alt_standard,base_w,alt_w,percent")
@@ -204,10 +189,7 @@ def cmd_compare(args) -> int:
 
 def cmd_fit(args) -> int:
     ds = _load_dataset(args.input)
-    try:
-        coeffs = fit(ds)
-    except DegenerateFit as exc:
-        raise CliError(EXIT_VALIDATION, f"degenerate fit: {exc}") from None
+    coeffs = fit(ds)
     residuals = max_relative_residuals(ds, coeffs)
     scaling = io_slope_voltage_scaling(coeffs)
 
@@ -260,11 +242,7 @@ def cmd_predict(args) -> int:
     standards = _parse_standards(args.standard)
     if len(standards) != 1:
         raise CliError(EXIT_USAGE, "--standard takes a single standard")
-    try:
-        coeffs = fit(ds)
-    except DegenerateFit as exc:
-        raise CliError(EXIT_VALIDATION, f"degenerate fit: {exc}") from None
-    pb = predict(coeffs, standards[0], args.freq_ghz)
+    pb = predict(fit(ds), standards[0], args.freq_ghz)
 
     if args.format == "json":
         doc = {"standard": standards[0].name, "freq_ghz": args.freq_ghz, **dataclasses.asdict(pb)}
@@ -289,8 +267,8 @@ def cmd_validate(args) -> int:
 
     for diag in diagnostics:
         print(diag.render())
-    fatal = [d for d in diagnostics if d.code not in _DOCUMENTED_CODES]
-    documented = [d for d in diagnostics if d.code in _DOCUMENTED_CODES]
+    fatal = [d for d in diagnostics if not d.code.documented]
+    documented = [d for d in diagnostics if d.code.documented]
     print(
         f"{len(diagnostics)} finding(s): {len(fatal)} dataset defect(s), "
         f"{len(documented)} documented source discrepanc(ies)"
@@ -309,15 +287,8 @@ def cmd_ram_run(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read trace {args.trace}: {exc}") from None
-    try:
-        ops = parse_trace(text)
-    except TraceError as exc:
-        raise CliError(EXIT_VALIDATION, f"malformed trace: {exc}") from None
-
-    try:
-        ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
-    except InvalidConfig as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+    ops = parse_trace(text)
+    ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
 
     results, summary = run_trace(ram, ops, key)
     for op, status, data in results:
@@ -354,17 +325,9 @@ def cmd_serve(args) -> int:
 
     cfg = SessionConfig(standards[0], channels[0], bind)
     ds = _load_dataset(args.input)
-    try:
-        ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
-    except InvalidConfig as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
-    try:
-        ledger = make_ledger(cfg, ds)
-        service = RamService(ram, ledger, bind)
-    except BindFailure as exc:
-        raise CliError(EXIT_BIND, str(exc)) from None
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+    ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
+    ledger = make_ledger(cfg, ds)
+    service = RamService(ram, ledger, bind)
 
     # Ctrl-C may arrive while the listening line is printed; it must still
     # close the socket and print the ledger.
@@ -444,14 +407,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The one mapping from library errors to exit codes and message prefixes.
+#: The first class that matches wins, so BindFailure comes before OSError.
+#: There is no catch-all: an error missing here is a fault, and surfaces.
+_ERROR_EXITS: tuple[tuple[type[Exception], int, str], ...] = (
+    (DegenerateFit, EXIT_VALIDATION, "degenerate fit: "),
+    (MissingCell, EXIT_VALIDATION, "dataset incomplete: "),
+    (TraceError, EXIT_VALIDATION, "malformed trace: "),
+    (ZeroBase, EXIT_VALIDATION, ""),
+    (NonPositiveFrequency, EXIT_USAGE, ""),
+    (InvalidConfig, EXIT_USAGE, ""),
+    (BadEndpoint, EXIT_USAGE, ""),
+    (BindFailure, EXIT_BIND, ""),
+    (OSError, EXIT_IO, ""),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"iotram: {exc}", file=sys.stderr)
-        return exc.exit_code
+        code, message = exc.exit_code, str(exc)
+    except tuple(cls for cls, _, _ in _ERROR_EXITS) as exc:
+        code, prefix = next((c, p) for cls, c, p in _ERROR_EXITS if isinstance(exc, cls))
+        message = prefix + str(exc)
+    print(f"iotram: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ class BindFailure(OSError):
     """The service endpoint could not be bound."""
 
 
+class BadEndpoint(ValueError):
+    """An endpoint that is not "[host]:port" with a port in 0-65535."""
+
+
 @dataclasses.dataclass(frozen=True)
 class SessionConfig:
     io_standard: IoStandard
@@ -104,17 +108,17 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     if text.startswith("["):
         host, sep, port = text[1:].partition("]:")
         if not sep:
-            raise ValueError(f"bad endpoint {endpoint!r} (expected [host]:port)")
+            raise BadEndpoint(f"bad endpoint {endpoint!r} (expected [host]:port)")
     else:
         host, sep, port = text.rpartition(":")
         if not sep:
-            raise ValueError(f"bad endpoint {endpoint!r} (expected host:port)")
+            raise BadEndpoint(f"bad endpoint {endpoint!r} (expected host:port)")
     try:
         port_num = int(port)
     except ValueError:
-        raise ValueError(f"bad port in endpoint {endpoint!r}") from None
+        raise BadEndpoint(f"bad port in endpoint {endpoint!r}") from None
     if not 0 <= port_num <= 65535:
-        raise ValueError(f"port out of range in endpoint {endpoint!r}")
+        raise BadEndpoint(f"port out of range in endpoint {endpoint!r}")
     return host or "0.0.0.0", port_num
 
 
@@ -151,14 +155,17 @@ class RamService:
 
     def serve_forever(self) -> None:
         """Answer datagrams until shutdown() is called. Per-frame errors never
-        terminate the loop."""
+        terminate the loop; a receive error that shutdown() did not cause is
+        raised."""
         while not self._stop.is_set():
             try:
                 datagram, peer = self._sock.recvfrom(65536)
             except socket.timeout:
                 continue
             except OSError:
-                break
+                if self._stop.is_set():
+                    break
+                raise
             try:
                 self._sock.sendto(self.handle(datagram), peer)
             except OSError:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from .standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
 
@@ -22,6 +23,10 @@ ROW_SUM_TOLERANCE_W = 0.005
 
 class MissingCell(KeyError):
     """A (standard, channel) pair absent from a user-supplied grid."""
+
+    def __str__(self) -> str:
+        # KeyError quotes its argument as a key; this one carries a message.
+        return str(self.args[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,8 +43,10 @@ class PowerBreakdown:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if value < 0:
-                raise ValueError(f"{field.name} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                if value < 0:
+                    raise ValueError(f"{field.name} must be >= 0, got {value}")
+                raise ValueError(f"{field.name} must be finite, got {value}")
 
     def rail(self, rail: Rail) -> float:
         return getattr(self, rail.field)
@@ -55,8 +62,6 @@ class PowerBreakdown:
 
 
 class Severity(enum.Enum):
-    INFO = "info"
-    WARNING = "warning"
     INCONSISTENCY = "inconsistency"
 
 
@@ -68,6 +73,12 @@ class DiagnosticCode(enum.Enum):
     MONOTONIC_VOLT = "MONOTONIC_VOLT"
     TABLE7_MISMATCH = "TABLE7_MISMATCH"
     CLAIM_MISMATCH = "CLAIM_MISMATCH"
+
+    @property
+    def documented(self) -> bool:
+        """True for a known discrepancy in the published source rather than a
+        defect of the grid; such findings do not fail validation."""
+        return self in (DiagnosticCode.TABLE7_MISMATCH, DiagnosticCode.CLAIM_MISMATCH)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,11 +23,12 @@ from .standards import IoStandard, Rail, WlanChannel
 
 class DegenerateFit(ValueError):
     """Raised when the grid, or one fitted series of it, does not span enough
-    distinct frequencies to fit."""
+    distinct frequencies to fit, or its values overflow the fit."""
 
 
 class NonPositiveFrequency(ValueError):
-    """Raised for predictions or energy queries at f <= 0, NaN or infinity."""
+    """Raised for predictions or energy queries at f <= 0, NaN or infinity,
+    and for predictions at a frequency where the fitted laws overflow."""
 
 
 class FitKind(enum.Enum):
@@ -40,6 +41,13 @@ class RailFit:
     slope_w_per_ghz: float
     intercept_w: float
     fit_kind: FitKind
+
+    def __post_init__(self):
+        if not (math.isfinite(self.slope_w_per_ghz) and math.isfinite(self.intercept_w)):
+            raise DegenerateFit(
+                f"{self.fit_kind.value} fit overflows: slope {self.slope_w_per_ghz}, "
+                f"intercept {self.intercept_w}"
+            )
 
     def at(self, f_ghz: float) -> float:
         return self.slope_w_per_ghz * f_ghz + self.intercept_w
@@ -121,21 +129,30 @@ def fit(ds: CalibrationDataset) -> ModelCoefficients:
 
 
 def predict(coeffs: ModelCoefficients, std: IoStandard, f_ghz: float) -> PowerBreakdown:
-    """Evaluate the fitted laws at an arbitrary positive, finite frequency."""
+    """Evaluate the fitted laws at an arbitrary positive, finite frequency.
+
+    Raises MissingCell for a standard the grid had no cells for, and
+    NonPositiveFrequency where the predicted total overflows.
+    """
     if not 0 < f_ghz < math.inf:
         raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
+    if std not in coeffs.io:
+        raise MissingCell(f"no cells for {std.name}; cannot predict it")
     clock = max(0.0, coeffs.clock.at(f_ghz))
     signal = max(0.0, coeffs.signal.at(f_ghz))
     bram = max(0.0, coeffs.bram.at(f_ghz))
     io = max(0.0, coeffs.io[std].at(f_ghz))
     leakage = max(0.0, coeffs.leakage[std].at(f_ghz))
+    total = clock + signal + bram + io + leakage
+    if not total < math.inf:
+        raise NonPositiveFrequency(f"frequency {f_ghz} GHz overflows the fitted laws")
     return PowerBreakdown(
         clock_w=clock,
         signal_w=signal,
         bram_w=bram,
         io_w=io,
         leakage_w=leakage,
-        total_w=clock + signal + bram + io + leakage,
+        total_w=total,
     )
 
 
@@ -146,7 +163,9 @@ def max_relative_residuals(
     out: dict[str, float] = {}
 
     def worst(fit_: RailFit, points: list[tuple[float, float]]) -> float:
-        return max(abs(fit_.at(f) - y) / y for f, y in points if y > 0)
+        # An all-zero series has no point to divide by, and none is needed: it
+        # fits exactly with slope 0 and intercept 0.
+        return max((abs(fit_.at(f) - y) / y for f, y in points if y > 0), default=0.0)
 
     pooled = lambda rail: [p for std in ds.standards() for p in _series(ds, rail, std)]
     out["clock"] = worst(coeffs.clock, pooled(Rail.CLOCK))

@@ -15,6 +15,7 @@ from iotram.cli import (
     EXIT_VALIDATION,
     main,
 )
+from iotram.net import RamService
 from iotram.power import CALIBRATION_HEADER, read_calibration, builtin_dataset
 
 
@@ -169,7 +170,7 @@ def test_predict_on_grid_frequency(capsys):
     assert abs(doc["total_w"] - 4.849) < 0.05
 
 
-@pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("freq", ["0", "-1", "nan", "inf", "-inf", "1.7e308"])
 def test_predict_rejects_nonpositive(capsys, freq):
     code, out, err = run(capsys, "predict", "--standard", "LVCMOS12", f"--freq-ghz={freq}")
     assert code == EXIT_USAGE
@@ -339,6 +340,17 @@ def test_serve_ctrl_c_during_listening_line(monkeypatch):
     assert code == EXIT_OK
     assert stdout.interrupted
     assert stdout.getvalue() == "ops_total=0 [] cycles=0 energy=0.000000e+00 J\n"
+
+
+def test_serve_receive_error_exits_3(capsys, monkeypatch):
+    def fail(self):
+        raise OSError("receive failed")
+
+    monkeypatch.setattr(RamService, "serve_forever", fail)
+    code, out, err = run(capsys, "serve", "--bind", "127.0.0.1:0")
+    assert code == EXIT_IO
+    assert out.endswith("ops_total=0 [] cycles=0 energy=0.000000e+00 J\n")
+    assert err == "iotram: receive failed\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -73,9 +73,19 @@ def test_lookup_missing_cell():
     assert not ds.complete
 
 
-def test_breakdown_rejects_negative():
-    with pytest.raises(ValueError):
-        PowerBreakdown(0.1, 0.1, 0.1, -0.1, 0.1, 0.3)
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (-0.1, "io_w must be >= 0, got -0.1"),
+        (-math.inf, "io_w must be >= 0, got -inf"),
+        (math.nan, "io_w must be finite, got nan"),
+        (math.inf, "io_w must be finite, got inf"),
+    ],
+)
+def test_breakdown_rejects_negative(value, message):
+    with pytest.raises(ValueError) as err:
+        PowerBreakdown(0.1, 0.1, 0.1, value, 0.1, 0.3)
+    assert str(err.value) == message
 
 
 def test_validate_builtin_is_clean(ds):

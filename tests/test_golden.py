@@ -125,6 +125,12 @@ FILES = {
     "badheader.csv": "standard,channel,clock\n",
     "badfield.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,x,0.091,3.062,0.160,1.374,4.849\n",
     "negative.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,-0.161,0.091,3.062,0.160,1.374,4.849\n",
+    "nan.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,0.161,0.091,3.062,nan,1.374,4.849\n",
+    "zeroio.csv": (
+        f"{CALIBRATION_HEADER}\n"
+        "LVCMOS12,0.9,0.061,0.033,1.148,0.000,1.321,2.563\n"
+        "LVCMOS12,2.4,0.161,0.091,3.062,0.000,1.374,4.689\n"
+    ),
     "ops.trace": "# demo\nW 0 DEADBEEF\nR 0\nR 999\n  w 1 ff   # inline\n\nr 1\nR 2\n",
     "wide.trace": "".join(
         f"W {a} {a * 0x01010101:08X}\nR {a}\n" for a in range(12, 20)
@@ -151,6 +157,7 @@ CLI_CASES = [
     ["table", "--input", _T + "badheader.csv"],
     ["table", "--input", _T + "badfield.csv", "--format", "csv"],
     ["table", "--input", _T + "negative.csv"],
+    ["table", "--input", _T + "nan.csv"],
     ["compare", "--rail", "io", "--from", "LVCMOS25", "--to", "LVCMOS12"],
     ["compare", "--rail", "io", "--from", "LVCMOS25", "--to", "LVCMOS12", "--format", "csv"],
     ["compare", "--rail", "io", "--from", "LVCMOS25", "--to", "LVCMOS12", "--format", "json"],
@@ -173,12 +180,15 @@ CLI_CASES = [
     ["fit", "--input", _T + "two.csv", "--format", "json"],
     ["fit", "--input", _T + "one.csv"],
     ["fit", "--input", _T + "missing.csv"],
+    ["fit", "--input", _T + "zeroio.csv"],
     ["predict", "--standard", "LVCMOS12", "--freq-ghz", "2.4"],
     ["predict", "--standard", "LVCMOS25", "--freq-ghz", "4.2", "--format", "json"],
     ["predict", "--standard", "lvcmos18", "--freq-ghz", "1e-06"],
     ["predict", "--standard", "LVCMOS12", "--freq-ghz", "3.0", "--input", _T + "two.csv", "--format", "json"],
     ["predict", "--standard", "all", "--freq-ghz", "2.4"],
     ["predict", "--standard", "LVCMOS12", "--freq-ghz", "2.4", "--input", _T + "one.csv"],
+    ["predict", "--standard", "LVCMOS15", "--freq-ghz", "3.0", "--input", _T + "two.csv"],
+    ["predict", "--standard", "LVCMOS25", "--freq-ghz", "1.7e308"],
     ["validate"],
     ["validate", "--input", _T + "one.csv"],
     ["validate", "--input", _T + "broken.csv"],
@@ -202,6 +212,14 @@ CLI_CASES = [
     ["ram-run", "--trace", _T + "ops.trace", "--standard", "all", "--channel", "2.4"],
     ["ram-run", "--trace", _T + "ops.trace", "--standard", "LVCMOS12", "--channel", "2.4",
      "--input", _T + "missing.csv"],
+    ["ram-run", "--trace", _T + "ops.trace", "--standard", "LVCMOS25", "--channel", "2.4",
+     "--input", _T + "one.csv"],
+    ["ram-run", "--trace", _T + "ops.trace", "--standard", "LVCMOS15", "--channel", "2.4",
+     "--input", _T + "two.csv"],
+    # serve cases that fail before the socket is bound.
+    ["serve", "--standard", "LVCMOS15", "--input", _T + "two.csv"],
+    ["serve", "--channel", "5.0", "--input", _T + "one.csv"],
+    ["serve", "--bind", "nonsense"],
     [],
     ["frobnicate"],
     ["predict", "--standard", "LVCMOS12"],

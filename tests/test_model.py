@@ -6,6 +6,7 @@ the coefficients must agree to floating precision. A few slopes derived by
 hand from the grid are also frozen as literals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from iotram.power import (
     DegenerateFit,
     FitKind,
     IoStandard,
+    MissingCell,
     NonPositiveFrequency,
     Rail,
     WlanChannel,
@@ -154,8 +156,33 @@ def test_fit_accepts_partial_grid(ds):
         for (s, c), cell in ds.cells.items()
         if s is IoStandard.LVCMOS12 and c in (WlanChannel.GHZ_0_9, WlanChannel.GHZ_5_9)
     }
-    coeffs = fit(CalibrationDataset(cells=keep, provenance="partial"))
+    partial = CalibrationDataset(cells=keep, provenance="partial")
+    coeffs = fit(partial)
     assert set(coeffs.io) == {IoStandard.LVCMOS12}
+    # A standard with no cells has no fit to predict from.
+    with pytest.raises(MissingCell):
+        predict(coeffs, IoStandard.LVCMOS15, 3.0)
+    with pytest.raises(MissingCell):
+        power_at(partial, IoStandard.LVCMOS15, 2.4)
+
+
+def test_fit_overflow_is_degenerate(ds):
+    huge = CalibrationDataset(
+        cells={key: dataclasses.replace(cell, bram_w=1e308) for key, cell in ds.cells.items()},
+        provenance="huge",
+    )
+    with pytest.raises(DegenerateFit):
+        fit(huge)
+
+
+def test_residuals_of_all_zero_series(ds):
+    zero_io = CalibrationDataset(
+        cells={key: dataclasses.replace(cell, io_w=0.0) for key, cell in ds.cells.items()},
+        provenance="zero io",
+    )
+    coeffs = fit(zero_io)
+    assert coeffs.io[IoStandard.LVCMOS12].slope_w_per_ghz == 0.0
+    assert max_relative_residuals(zero_io, coeffs)["io[LVCMOS12]"] == 0.0
 
 
 def test_predict_totals_sum_of_rails(coeffs):
@@ -183,6 +210,13 @@ def test_predict_rejects_nonpositive(ds, coeffs, f_ghz):
         predict(coeffs, IoStandard.LVCMOS12, f_ghz)
     with pytest.raises(NonPositiveFrequency):
         power_at(ds, IoStandard.LVCMOS12, f_ghz, coeffs)
+
+
+def test_predict_rejects_overflowing_frequency(ds, coeffs):
+    with pytest.raises(NonPositiveFrequency, match="overflows"):
+        predict(coeffs, IoStandard.LVCMOS25, 1.7e308)
+    with pytest.raises(NonPositiveFrequency, match="overflows"):
+        power_at(ds, IoStandard.LVCMOS25, 1.7e308, coeffs)
 
 
 def test_power_at_prefers_grid_cell(ds, coeffs):

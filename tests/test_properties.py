@@ -1,0 +1,145 @@
+"""Property tests of the two untrusted boundaries: calibration text and argv.
+
+Every command line gives a documented exit code with one `iotram:` (or
+argparse) line on stderr and never a traceback; every calibration text the
+reader accepts either fits with finite coefficients or raises one of the
+fit's documented errors. Example counts are fixed and there is no deadline,
+so the run time is bounded and nothing depends on timing.
+"""
+
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iotram.power import (
+    CALIBRATION_HEADER,
+    DegenerateFit,
+    MissingCell,
+    fit,
+    read_calibration,
+)
+from test_golden import run_cli
+
+STANDARD_NAMES = ("LVCMOS12", "LVCMOS15", "LVCMOS18", "LVCMOS25")
+CARRIERS_GHZ = (0.9, 2.4, 3.6, 5.0, 5.9)
+
+# Mostly plausible watts, with zeros, the smallest subnormal and values whose
+# sums overflow.
+_WATTS = st.one_of(st.floats(0.0, 20.0), st.sampled_from([0.0, 5e-324, 1e308, 1.7e308]))
+_REJECTED = st.sampled_from([-1.0, -math.inf, math.inf, math.nan])
+
+
+@st.composite
+def calibration_texts(draw) -> str:
+    """A grid of some standards at two or more channels, less one cell in some
+    grids (so a standard may have a single channel, or the grid a single
+    frequency), with one rail all zero in some and one value the reader
+    rejects in others."""
+    stds = draw(st.lists(st.sampled_from(STANDARD_NAMES), min_size=1, max_size=3, unique=True))
+    ghzs = draw(st.lists(st.sampled_from(CARRIERS_GHZ), min_size=2, max_size=4, unique=True))
+    cells = [(std, ghz) for std in stds for ghz in ghzs]
+    if draw(st.booleans()):
+        cells.remove(draw(st.sampled_from(cells)))
+    values = draw(st.lists(_WATTS, min_size=6 * len(cells), max_size=6 * len(cells)))
+    zero_rail = draw(st.one_of(st.none(), st.integers(0, 5)))
+    if zero_rail is not None:
+        values[zero_rail::6] = [0.0] * len(cells)
+    if values and draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(_REJECTED)
+    lines = [CALIBRATION_HEADER]
+    for i, (std, ghz) in enumerate(cells):
+        lines.append(f"{std},{ghz}," + ",".join(map(repr, values[6 * i:6 * i + 6])))
+    return "\n".join(lines) + "\n"
+
+
+_STANDARD = st.sampled_from(["LVCMOS12", "LVCMOS15", "LVCMOS18", "lvcmos25", "all", "LVCMOS33", ""])
+_CHANNEL = st.sampled_from(["2.4", "802.11p", "0.9", "5.0", "all", "7.0", "nan", "-1"])
+_RAIL = st.sampled_from(["io", "total", "leakage", "signal", "bogus"])
+_FREQ = st.one_of(
+    st.sampled_from(["3.0", "2.4", "0.5", "0", "-1", "nan", "inf", "-inf", "1.7e308", "1e300", "5e-324"]),
+    st.floats().map(repr),
+)
+_INPUT = st.sampled_from([None, "{dir}/grid.csv", "{dir}/grid.csv", "{dir}/grid.csv", "{dir}/missing.csv"])
+
+
+SUBCOMMANDS = ("table", "compare", "fit", "predict", "validate", "ram-run")
+
+
+@st.composite
+def command_lines(draw, sub: str) -> list[str]:
+    """One argv of a subcommand that runs to completion, with `{dir}` for
+    the directory of its input files."""
+
+    def opt(name: str, strategy, present=None) -> list[str]:
+        if present is None:
+            present = draw(st.booleans())
+        return [f"--{name}={draw(strategy)}"] if present else []
+
+    def formats(*choices: str) -> list[str]:
+        return opt("format", st.sampled_from(choices))
+
+    if sub == "table":
+        argv = opt("standard", _STANDARD) + opt("channel", _CHANNEL) + formats("text", "csv", "json")
+    elif sub == "compare":
+        argv = (opt("rail", _RAIL, True) + opt("from", _STANDARD, True) + opt("to", _STANDARD, True)
+                + opt("channel", _CHANNEL) + formats("text", "csv", "json"))
+    elif sub == "fit":
+        argv = formats("text", "json")
+    elif sub == "predict":
+        argv = opt("standard", _STANDARD, True) + opt("freq-ghz", _FREQ, True) + formats("text", "json")
+    elif sub == "validate":
+        argv = []
+    else:
+        priced = draw(st.booleans())
+        argv = (opt("trace", st.sampled_from(["{dir}/ops.trace"] * 3 + ["{dir}/bad.trace"]), True)
+                + opt("key", st.sampled_from(["2001:db8::2", "ff", "not-a-key"]))
+                + opt("depth", st.sampled_from(["16", "16", "0", "-1", "x"]))
+                + opt("standard", _STANDARD, priced) + opt("channel", _CHANNEL, priced))
+    path = draw(_INPUT)
+    return [sub] + argv + ([f"--input={path}"] if path else [])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("properties")
+    (path / "ops.trace").write_text("W 0 DEADBEEF\nR 0\nR 999\n", encoding="utf-8")
+    (path / "bad.trace").write_text("R 0\nW 0\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@settings(deadline=None, max_examples=50, derandomize=True)
+@given(data=st.data(), grid=calibration_texts())
+def test_every_command_line_exits_with_a_documented_code(workdir, sub, data, grid):
+    argv = data.draw(command_lines(sub), label="argv")
+    (workdir / "grid.csv").write_text(grid, encoding="utf-8")
+    code, out, err = run_cli([arg.replace("{dir}", str(workdir)) for arg in argv])
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    if code and not err:
+        # validate reports the defects it finds on stdout, then exits 4.
+        assert argv[0] == "validate" and code == 4 and "dataset defect(s)" in out
+    elif code:
+        lines = err.splitlines()
+        assert [ln for ln in lines if ln.startswith("iotram")] == lines[-1:], err
+        assert re.match(r"iotram(: | [\w-]+: error: )", lines[-1]), err
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(text=calibration_texts())
+def test_accepted_grids_fit_finite_or_raise_documented_errors(text):
+    try:
+        ds = read_calibration(text)
+    except ValueError:
+        return
+    try:
+        coeffs = fit(ds)
+    except (DegenerateFit, MissingCell):
+        return
+    fits = [coeffs.clock, coeffs.signal, coeffs.bram, *coeffs.io.values(), *coeffs.leakage.values()]
+    for rail_fit in fits:
+        assert math.isfinite(rail_fit.slope_w_per_ghz), rail_fit
+        assert math.isfinite(rail_fit.intercept_w), rail_fit

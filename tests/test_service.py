@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from iotram.net import (
+    BadEndpoint,
     BindFailure,
     EnergyLedger,
     Opcode,
@@ -157,7 +158,7 @@ def test_parse_endpoint(endpoint, expected):
 
 @pytest.mark.parametrize("endpoint", ["nope", "[::1]", "host:port", "x:70000", "x:-1"])
 def test_parse_endpoint_rejects(endpoint):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadEndpoint):
         parse_endpoint(endpoint)
 
 
@@ -186,6 +187,40 @@ def test_udp_round_trip(ram):
         svc.close()
         thread.join(timeout=5)
     assert svc.ledger.ops_total == 3
+
+
+def _loop_in_thread(svc):
+    """Run serve_forever in a thread; the list receives what it raised."""
+    raised = []
+
+    def loop():
+        try:
+            svc.serve_forever()
+        except OSError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+    return thread, raised
+
+
+def test_close_ends_the_loop_quietly(ram):
+    svc = serve(_session(), ram)
+    thread, raised = _loop_in_thread(svc)
+    svc.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert raised == []
+
+
+def test_socket_failure_ends_the_loop_with_an_error(ram):
+    svc = serve(_session(), ram)
+    thread, raised = _loop_in_thread(svc)
+    # The socket fails under the loop without shutdown() asking it to stop.
+    svc._sock.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert len(raised) == 1
 
 
 def test_concurrent_writes_serialize(ram):
