@@ -22,7 +22,6 @@ from .net.service import (
     BindFailure,
     DEFAULT_BIND,
     RamService,
-    SessionConfig,
     make_ledger,
 )
 from .power.dataset import (
@@ -282,6 +281,17 @@ def cmd_ram_run(args) -> int:
     if (args.standard is None) != (args.channel is None):
         raise CliError(EXIT_USAGE, "--standard and --channel must be given together")
 
+    # Pricing is checked before the trace runs, so that its errors come
+    # with an empty stdout.
+    if args.standard is not None:
+        standards = _parse_standards(args.standard)
+        channels = _parse_channels(args.channel)
+        if len(standards) != 1 or len(channels) != 1:
+            raise CliError(EXIT_USAGE, "energy pricing takes a single standard and channel")
+        ds = _load_dataset(args.input)
+        pb = power_at(ds, standards[0], channels[0].carrier_ghz)
+        per_cycle = energy_per_cycle(pb, channels[0].carrier_ghz)
+
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -298,15 +308,7 @@ def cmd_ram_run(args) -> int:
         f"cycles={summary.cycles} writes={summary.writes} reads={summary.reads} "
         f"auth_fails={summary.auth_fails} range_errors={summary.range_errors}"
     )
-
     if args.standard is not None:
-        standards = _parse_standards(args.standard)
-        channels = _parse_channels(args.channel)
-        if len(standards) != 1 or len(channels) != 1:
-            raise CliError(EXIT_USAGE, "energy pricing takes a single standard and channel")
-        ds = _load_dataset(args.input)
-        pb = power_at(ds, standards[0], channels[0].carrier_ghz)
-        per_cycle = energy_per_cycle(pb, channels[0].carrier_ghz)
         print(
             f"energy: {summary.cycles * per_cycle:.6e} J "
             f"({per_cycle:.6e} J/cycle at {standards[0].name}, "
@@ -323,10 +325,9 @@ def cmd_serve(args) -> int:
     device_key = _parse_key(args.device_key)
     bind = args.bind or os.environ.get(BIND_ENV_VAR) or DEFAULT_BIND
 
-    cfg = SessionConfig(standards[0], channels[0], bind)
     ds = _load_dataset(args.input)
     ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
-    ledger = make_ledger(cfg, ds)
+    ledger = make_ledger(standards[0], channels[0], ds)
     service = RamService(ram, ledger, bind)
 
     # Ctrl-C may arrive while the listening line is printed; it must still
@@ -334,8 +335,8 @@ def cmd_serve(args) -> int:
     try:
         host, port = service.address
         print(
-            f"listening on {host}:{port} ({cfg.io_standard.name}, "
-            f"{cfg.channel.carrier_ghz} GHz, {ledger.per_cycle_j:.6e} J/cycle)"
+            f"listening on {host}:{port} ({standards[0].name}, "
+            f"{channels[0].carrier_ghz} GHz, {ledger.per_cycle_j:.6e} J/cycle)"
         )
         service.serve_forever()
     except KeyboardInterrupt:

@@ -10,7 +10,6 @@ session's energy ledger prices accumulated cycles at the configured
 
 from __future__ import annotations
 
-import dataclasses
 import socket
 import threading
 
@@ -36,13 +35,6 @@ class BindFailure(OSError):
 
 class BadEndpoint(ValueError):
     """An endpoint that is not "[host]:port" with a port in 0-65535."""
-
-
-@dataclasses.dataclass(frozen=True)
-class SessionConfig:
-    io_standard: IoStandard
-    channel: WlanChannel
-    bind_endpoint: str = DEFAULT_BIND
 
 
 class EnergyLedger:
@@ -73,11 +65,13 @@ class EnergyLedger:
         )
 
 
-def make_ledger(cfg: SessionConfig, ds: CalibrationDataset | None = None) -> EnergyLedger:
-    """Ledger priced at the session's operating point (grid cell of the channel)."""
+def make_ledger(
+    std: IoStandard, channel: WlanChannel, ds: CalibrationDataset | None = None
+) -> EnergyLedger:
+    """Ledger priced at one operating point: the grid cell of the channel."""
     ds = ds if ds is not None else builtin_dataset()
-    breakdown = power_at(ds, cfg.io_standard, cfg.channel.carrier_ghz)
-    return EnergyLedger(energy_per_cycle(breakdown, cfg.channel.carrier_ghz))
+    breakdown = power_at(ds, std, channel.carrier_ghz)
+    return EnergyLedger(energy_per_cycle(breakdown, channel.carrier_ghz))
 
 
 def handle_datagram(datagram: bytes, ram: IotRam, ledger: EnergyLedger) -> bytes:
@@ -142,7 +136,6 @@ class RamService:
         except OSError as exc:
             self._sock.close()
             raise BindFailure(f"cannot bind {bind_endpoint}: {exc}") from exc
-        self._sock.settimeout(0.1)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -154,28 +147,36 @@ class RamService:
             return handle_datagram(datagram, self.ram, self.ledger)
 
     def serve_forever(self) -> None:
-        """Answer datagrams until shutdown() is called. Per-frame errors never
-        terminate the loop; a receive error that shutdown() did not cause is
+        """Answer datagrams until close() is called. Per-frame errors never
+        terminate the loop; a receive error that close() did not cause is
         raised."""
-        while not self._stop.is_set():
+        while True:
             try:
                 datagram, peer = self._sock.recvfrom(65536)
-            except socket.timeout:
-                continue
             except OSError:
                 if self._stop.is_set():
-                    break
+                    return
                 raise
+            if self._stop.is_set():
+                return
             try:
                 self._sock.sendto(self.handle(datagram), peer)
             except OSError:
                 continue
 
-    def shutdown(self) -> None:
-        self._stop.set()
-
     def close(self) -> None:
-        self.shutdown()
+        """Stop serve_forever, from any thread, and release the socket.
+
+        Closing the socket alone does not wake a thread blocked in recvfrom on
+        it. On Linux, shutdown() does: the receive returns (b"", None), though
+        for an unconnected datagram socket the call itself raises ENOTCONN.
+        That error, and EBADF when close() runs twice, are expected.
+        """
+        self._stop.set()
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
     def __enter__(self) -> "RamService":
@@ -184,7 +185,3 @@ class RamService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def serve(cfg: SessionConfig, ram: IotRam, ds: CalibrationDataset | None = None) -> RamService:
-    """Bind a service for a session; caller runs serve_forever and closes it."""
-    return RamService(ram, make_ledger(cfg, ds), cfg.bind_endpoint)

@@ -61,10 +61,6 @@ class PowerBreakdown:
         return abs(self.total_w - self.rail_sum_w)
 
 
-class Severity(enum.Enum):
-    INCONSISTENCY = "inconsistency"
-
-
 class DiagnosticCode(enum.Enum):
     """Closed set of findings a grid check can raise."""
 
@@ -83,13 +79,12 @@ class DiagnosticCode(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class Diagnostic:
-    severity: Severity
     code: DiagnosticCode
     message: str
     location: str
 
     def render(self) -> str:
-        return f"{self.severity.value.upper():<13} {self.code.value:<16} {self.location}: {self.message}"
+        return f"INCONSISTENCY {self.code.value:<16} {self.location}: {self.message}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,7 +183,6 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
             if cell.row_sum_error_w > ROW_SUM_TOLERANCE_W:
                 out.append(
                     Diagnostic(
-                        Severity.INCONSISTENCY,
                         DiagnosticCode.ROW_SUM,
                         f"rails sum to {cell.rail_sum_w:.3f} W but total is "
                         f"{cell.total_w:.3f} W (tolerance {ROW_SUM_TOLERANCE_W} W)",
@@ -204,7 +198,6 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
                 if cell_b.rail(rail) <= cell_a.rail(rail):
                     out.append(
                         Diagnostic(
-                            Severity.INCONSISTENCY,
                             DiagnosticCode.MONOTONIC_FREQ,
                             f"{rail.name.lower()} does not increase with frequency: "
                             f"{cell_a.rail(rail):.3f} W at {ch_a.carrier_ghz} GHz vs "
@@ -220,7 +213,6 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
                 if cell_b.rail(rail) <= cell_a.rail(rail):
                     out.append(
                         Diagnostic(
-                            Severity.INCONSISTENCY,
                             DiagnosticCode.MONOTONIC_VOLT,
                             f"{rail.name.lower()} does not increase with supply voltage: "
                             f"{cell_a.rail(rail):.3f} W for {std_a.name} vs "

@@ -28,7 +28,7 @@ class DegenerateFit(ValueError):
 
 class NonPositiveFrequency(ValueError):
     """Raised for predictions or energy queries at f <= 0, NaN or infinity,
-    and for predictions at a frequency where the fitted laws overflow."""
+    and at a frequency where the fitted laws or the joules per cycle overflow."""
 
 
 class FitKind(enum.Enum):
@@ -212,4 +212,8 @@ def energy_per_cycle(pb: PowerBreakdown, f_ghz: float) -> float:
     """Joules drawn per clock cycle: total watts over cycles per second."""
     if not 0 < f_ghz < math.inf:
         raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
-    return pb.total_w / (f_ghz * 1e9)
+    hz = f_ghz * 1e9
+    per_cycle = pb.total_w / hz
+    if not (hz < math.inf and per_cycle < math.inf):
+        raise NonPositiveFrequency(f"frequency {f_ghz} GHz overflows joules per cycle")
+    return per_cycle

@@ -14,14 +14,10 @@ the comparison table's 1.383 W entry for (LVCMOS25, 2.4 GHz), and the headline
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable, Iterator
 
-from .dataset import (
-    CalibrationDataset,
-    Diagnostic,
-    DiagnosticCode,
-    Severity,
-)
+from .dataset import CalibrationDataset, Diagnostic, DiagnosticCode
 from .standards import CHANNELS, IoStandard, Rail, WlanChannel
 
 #: Quoted reduction figures are printed to two decimals; allow their rounding.
@@ -33,7 +29,8 @@ TABLE_MATCH_TOLERANCE_W = 0.0005
 
 
 class ZeroBase(ValueError):
-    """Reduction against a zero-valued base rail is undefined."""
+    """Reduction against a base rail of zero, or one so small that the ratio
+    overflows, is undefined."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,7 +65,7 @@ def reduction(
     """Percent saved on one rail when alt_std replaces base_std at a channel."""
     base = ds.lookup(base_std, ch).rail(rail)
     alt = ds.lookup(alt_std, ch).rail(rail)
-    if base <= 0:
+    if base <= 0 or not math.isfinite(alt / base):
         raise ZeroBase(
             f"{rail.name.lower()} base for {base_std.name} at {ch.carrier_ghz} GHz is {base}"
         )
@@ -129,7 +126,6 @@ def check_claims(ds: CalibrationDataset, rail: Rail) -> list[Diagnostic]:
     """Recompute each quoted figure for a rail from the grid; flag the unreachable ones."""
     return [
         Diagnostic(
-            Severity.INCONSISTENCY,
             DiagnosticCode.CLAIM_MISMATCH,
             f"quoted {claim.quoted_percent:.2f}% {rail.name.lower()} reduction "
             f"(LVCMOS25 -> LVCMOS12) is unreachable from the grid: recomputed "
@@ -164,7 +160,6 @@ def comparison_matrix(
                 if abs(ours - printed) > TABLE_MATCH_TOLERANCE_W:
                     diagnostics.append(
                         Diagnostic(
-                            Severity.INCONSISTENCY,
                             DiagnosticCode.TABLE7_MISMATCH,
                             f"comparison table prints {printed:.3f} W but the "
                             f"calibration cell holds {ours:.3f} W",

@@ -30,7 +30,7 @@ from unittest import mock
 import pytest
 
 from iotram.cli import main
-from iotram.net import EnergyLedger, SessionConfig, encode_request, handle_datagram, make_ledger
+from iotram.net import EnergyLedger, encode_request, handle_datagram, make_ledger
 from iotram.power import CALIBRATION_HEADER, IoStandard, WlanChannel
 from iotram.ram import IotRam, RamConfig
 
@@ -76,7 +76,7 @@ def _write_files(files: dict[str, str], tmp: pathlib.Path) -> None:
 
 def _wire_session() -> tuple[IotRam, EnergyLedger]:
     ram = IotRam(RamConfig(depth_words=WIRE_DEPTH, device_ipv6=WIRE_KEY))
-    ledger = make_ledger(SessionConfig(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4))
+    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
     return ram, ledger
 
 

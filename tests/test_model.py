@@ -239,7 +239,9 @@ def test_energy_per_cycle_from_grid(ds):
     assert math.isclose(energy_per_cycle(cell, 0.9), 2.739 / 0.9e9, rel_tol=1e-12)
     assert abs(energy_per_cycle(cell, 0.9) - 3.0433e-9) < 1e-12
 
-    for f_ghz in NOT_POSITIVE_FINITE:
+    # 1e300 GHz overflows the cycles per second, and 5e-324 GHz the joules
+    # per cycle.
+    for f_ghz in NOT_POSITIVE_FINITE + (1e300, 5e-324):
         with pytest.raises(NonPositiveFrequency):
             energy_per_cycle(cell, f_ghz)
 

@@ -77,13 +77,17 @@ def test_reduction_missing_cell():
 def test_reduction_zero_base(ds):
     import iotram.power as power
 
-    cells = dict(ds.cells)
-    cells[(IoStandard.LVCMOS25, WlanChannel.GHZ_0_9)] = power.PowerBreakdown(
-        0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    )
-    zeroed = power.CalibrationDataset(cells=cells, provenance="zeroed")
-    with pytest.raises(ZeroBase):
-        reduction(zeroed, Rail.IO, IoStandard.LVCMOS25, IoStandard.LVCMOS12, WlanChannel.GHZ_0_9)
+    # A subnormal base is positive, but the ratio to it overflows.
+    for base_w in (0.0, 5e-324):
+        cells = dict(ds.cells)
+        cells[(IoStandard.LVCMOS25, WlanChannel.GHZ_0_9)] = power.PowerBreakdown(
+            base_w, base_w, base_w, base_w, base_w, base_w
+        )
+        zeroed = power.CalibrationDataset(cells=cells, provenance="zeroed")
+        with pytest.raises(ZeroBase):
+            reduction(
+                zeroed, Rail.IO, IoStandard.LVCMOS25, IoStandard.LVCMOS12, WlanChannel.GHZ_0_9
+            )
 
 
 def test_render_mentions_both_standards(ds):

@@ -12,14 +12,13 @@ from iotram.net import (
     BindFailure,
     EnergyLedger,
     Opcode,
-    SessionConfig,
+    RamService,
     Status,
     decode_response,
     encode_request,
     handle_datagram,
     make_ledger,
     parse_endpoint,
-    serve,
 )
 from iotram.power import IoStandard, WlanChannel, builtin_dataset
 from iotram.ram import IotRam, RamConfig
@@ -28,8 +27,8 @@ KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 WRONG = int(ipaddress.IPv6Address("2001:db8::2"))
 
 
-def _session(bind="127.0.0.1:0"):
-    return SessionConfig(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4, bind)
+def _service(ram, bind="127.0.0.1:0"):
+    return RamService(ram, make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4), bind)
 
 
 @pytest.fixture
@@ -39,14 +38,14 @@ def ram():
 
 @pytest.fixture
 def ledger():
-    return make_ledger(_session())
+    return make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
 
 
 def test_ledger_pricing_matches_grid():
-    led = make_ledger(_session())
+    led = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
     assert math.isclose(led.per_cycle_j, 4.849 / 2.4e9, rel_tol=1e-12)
     ds = builtin_dataset()
-    led = make_ledger(SessionConfig(IoStandard.LVCMOS25, WlanChannel.GHZ_0_9), ds)
+    led = make_ledger(IoStandard.LVCMOS25, WlanChannel.GHZ_0_9, ds)
     assert math.isclose(led.per_cycle_j, 2.739 / 0.9e9, rel_tol=1e-12)
 
 
@@ -163,7 +162,7 @@ def test_parse_endpoint_rejects(endpoint):
 
 
 def _start(ram):
-    svc = serve(_session(), ram)
+    svc = _service(ram)
     thread = threading.Thread(target=svc.serve_forever, daemon=True)
     thread.start()
     return svc, thread
@@ -183,10 +182,19 @@ def test_udp_round_trip(ram):
             sock.sendto(b"\x00" * 12, svc.address)
             resp = decode_response(sock.recvfrom(64)[0])
             assert resp.status is Status.MALFORMED
+            # An empty datagram is a request like any other, not the wakeup
+            # that close() gives the loop.
+            sock.sendto(b"", svc.address)
+            resp = decode_response(sock.recvfrom(64)[0])
+            assert resp.status is Status.MALFORMED and resp.seq == 0
+            sock.sendto(encode_request(Opcode.READ, KEY, 2, 0, 11), svc.address)
+            resp = decode_response(sock.recvfrom(64)[0])
+            assert resp.data == 0xABCD and resp.seq == 11
     finally:
         svc.close()
         thread.join(timeout=5)
-    assert svc.ledger.ops_total == 3
+    assert not thread.is_alive()
+    assert svc.ledger.ops_total == 5
 
 
 def _loop_in_thread(svc):
@@ -205,8 +213,13 @@ def _loop_in_thread(svc):
 
 
 def test_close_ends_the_loop_quietly(ram):
-    svc = serve(_session(), ram)
+    svc = _service(ram)
     thread, raised = _loop_in_thread(svc)
+    # After a round trip the loop is back in its blocking receive.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.settimeout(5.0)
+        sock.sendto(encode_request(Opcode.STATUS, KEY, 0, 0, 1), svc.address)
+        sock.recvfrom(64)
     svc.close()
     thread.join(timeout=5)
     assert not thread.is_alive()
@@ -214,10 +227,12 @@ def test_close_ends_the_loop_quietly(ram):
 
 
 def test_socket_failure_ends_the_loop_with_an_error(ram):
-    svc = serve(_session(), ram)
-    thread, raised = _loop_in_thread(svc)
-    # The socket fails under the loop without shutdown() asking it to stop.
+    svc = _service(ram)
+    # The socket fails without close() asking the loop to stop. It is closed
+    # before the loop starts: on Linux, closing a descriptor under a blocked
+    # receive does not wake it.
     svc._sock.close()
+    thread, raised = _loop_in_thread(svc)
     thread.join(timeout=5)
     assert not thread.is_alive()
     assert len(raised) == 1
@@ -259,10 +274,11 @@ def test_bind_failure_on_occupied_port():
         holder.bind(("127.0.0.1", 0))
         port = holder.getsockname()[1]
         with pytest.raises(BindFailure):
-            serve(_session(f"127.0.0.1:{port}"), IotRam(RamConfig(device_ipv6=KEY)))
+            _service(IotRam(RamConfig(device_ipv6=KEY)), f"127.0.0.1:{port}")
 
 
 def test_service_context_manager(ram):
-    with serve(_session(), ram) as svc:
+    with _service(ram) as svc:
         resp = decode_response(svc.handle(encode_request(Opcode.STATUS, KEY, 0, 0, 1)))
         assert resp.status is Status.OK
+        svc.close()  # leaving the block closes it a second time
