@@ -13,8 +13,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import types
+from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 from .standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
+
+if TYPE_CHECKING:
+    from .model import ModelCoefficients
 
 #: Printed totals round per-rail; a stored total may differ from the rail sum
 #: by up to this many watts.
@@ -89,26 +95,41 @@ class Diagnostic:
 
 @dataclasses.dataclass(frozen=True)
 class CalibrationDataset:
-    """Grid of breakdown cells keyed by (standard, channel).
+    """Read-only grid of breakdown cells keyed by (standard, channel).
 
     The builtin grid is complete (all 20 pairs); user grids loaded from file
-    may be partial, in which case `lookup` raises MissingCell.
+    may be partial, in which case `lookup` raises MissingCell. `cells` is a
+    read-only view of a copy of the mapping given, so what depends only on
+    the cells is computed once: the standards and channels present here, and
+    the fit that `model.fit` keeps on the grid.
     """
 
-    cells: dict[tuple[IoStandard, WlanChannel], PowerBreakdown]
+    cells: Mapping[tuple[IoStandard, WlanChannel], PowerBreakdown]
     provenance: str = "user"
+    _standards: tuple[IoStandard, ...] = dataclasses.field(init=False, compare=False, repr=False)
+    _channels: tuple[WlanChannel, ...] = dataclasses.field(init=False, compare=False, repr=False)
+    # Set by each `model.fit` of this grid that succeeds.
+    _fit: ModelCoefficients | None = dataclasses.field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        cells = types.MappingProxyType(dict(self.cells))
+        stds = {s for s, _ in cells}
+        chs = {c for _, c in cells}
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_standards", tuple(s for s in STANDARDS if s in stds))
+        object.__setattr__(self, "_channels", tuple(c for c in CHANNELS if c in chs))
 
     @property
     def complete(self) -> bool:
         return all((s, c) in self.cells for s in STANDARDS for c in CHANNELS)
 
-    def channels(self) -> list[WlanChannel]:
-        present = {c for _, c in self.cells}
-        return [c for c in CHANNELS if c in present]
+    def channels(self) -> tuple[WlanChannel, ...]:
+        return self._channels
 
-    def standards(self) -> list[IoStandard]:
-        present = {s for s, _ in self.cells}
-        return [s for s in STANDARDS if s in present]
+    def standards(self) -> tuple[IoStandard, ...]:
+        return self._standards
 
     def lookup(self, std: IoStandard, ch: WlanChannel) -> PowerBreakdown:
         try:

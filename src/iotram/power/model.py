@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import types
+from collections.abc import Mapping
 
 from .dataset import CalibrationDataset, MissingCell, PowerBreakdown
 from .standards import IoStandard, Rail, WlanChannel
@@ -55,11 +57,18 @@ class RailFit:
 
 @dataclasses.dataclass(frozen=True)
 class ModelCoefficients:
+    """One grid's fit. `io` and `leakage` are read-only mappings, because the
+    grid keeps its fit and hands the same coefficients to every caller."""
+
     clock: RailFit
     signal: RailFit
     bram: RailFit
-    io: dict[IoStandard, RailFit]
-    leakage: dict[IoStandard, RailFit]
+    io: Mapping[IoStandard, RailFit]
+    leakage: Mapping[IoStandard, RailFit]
+
+    def __post_init__(self):
+        object.__setattr__(self, "io", types.MappingProxyType(dict(self.io)))
+        object.__setattr__(self, "leakage", types.MappingProxyType(dict(self.leakage)))
 
 
 def _through_origin(points: list[tuple[float, float]]) -> RailFit:
@@ -87,10 +96,11 @@ def _affine(points: list[tuple[float, float]]) -> RailFit:
 
 
 def _series(ds: CalibrationDataset, rail: Rail, std: IoStandard) -> list[tuple[float, float]]:
+    cells = ds.cells
     points = [
-        (ch.carrier_ghz, ds.cells[(std, ch)].rail(rail))
+        (ch.carrier_ghz, cell.rail(rail))
         for ch in ds.channels()
-        if (std, ch) in ds.cells
+        if (cell := cells.get((std, ch))) is not None
     ]
     if not points:
         raise MissingCell(f"no cells for {std.name}; cannot fit its {rail.name.lower()} rail")
@@ -103,6 +113,8 @@ def fit(ds: CalibrationDataset) -> ModelCoefficients:
     Shared rails pool every standard's points (their values coincide anyway);
     IO and leakage are fitted per standard. Raises DegenerateFit when the grid
     holds fewer than two distinct frequencies, or one standard's cells do.
+    The grid is read-only, so the fit is kept on it for `power_at`; a fit
+    that raises keeps nothing.
     """
     distinct = {ch.carrier_ghz for _, ch in ds.cells}
     if len(distinct) < 2:
@@ -119,13 +131,15 @@ def fit(ds: CalibrationDataset) -> ModelCoefficients:
         for rail in shared:
             shared[rail].extend(_series(ds, rail, std))
 
-    return ModelCoefficients(
+    coeffs = ModelCoefficients(
         clock=_through_origin(shared[Rail.CLOCK]),
         signal=_affine(shared[Rail.SIGNAL]),
         bram=_through_origin(shared[Rail.BRAM]),
         io={std: _through_origin(_series(ds, Rail.IO, std)) for std in ds.standards()},
         leakage={std: _affine(_series(ds, Rail.LEAKAGE, std)) for std in ds.standards()},
     )
+    object.__setattr__(ds, "_fit", coeffs)
+    return coeffs
 
 
 def predict(coeffs: ModelCoefficients, std: IoStandard, f_ghz: float) -> PowerBreakdown:
@@ -190,22 +204,23 @@ def io_slope_voltage_scaling(coeffs: ModelCoefficients) -> dict[IoStandard, floa
     }
 
 
-def power_at(
-    ds: CalibrationDataset,
-    std: IoStandard,
-    f_ghz: float,
-    coeffs: ModelCoefficients | None = None,
-) -> PowerBreakdown:
-    """Breakdown at a frequency: grid cell when on-grid, fitted prediction otherwise."""
+def power_at(ds: CalibrationDataset, std: IoStandard, f_ghz: float) -> PowerBreakdown:
+    """Breakdown at a frequency: grid cell when on-grid, fitted prediction otherwise.
+
+    Off grid, the fit kept on `ds` is used; the first such call fits the grid.
+    """
     if not 0 < f_ghz < math.inf:
         raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
     try:
-        ch = WlanChannel.from_ghz(f_ghz)
+        cell = ds.cells.get((std, WlanChannel.from_ghz(f_ghz)))
     except ValueError:
-        ch = None
-    if ch is not None and (std, ch) in ds.cells:
-        return ds.cells[(std, ch)]
-    return predict(coeffs if coeffs is not None else fit(ds), std, f_ghz)
+        cell = None
+    if cell is not None:
+        return cell
+    coeffs = ds._fit
+    if coeffs is None:
+        coeffs = fit(ds)
+    return predict(coeffs, std, f_ghz)
 
 
 def energy_per_cycle(pb: PowerBreakdown, f_ghz: float) -> float:

@@ -20,10 +20,13 @@ WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 KEY_BITS = 128
 KEY_MASK = (1 << KEY_BITS) - 1
+#: Addresses are 32-bit, so no RAM holds more words than this.
+MAX_DEPTH_WORDS = 1 << 32
 
 
 class InvalidConfig(ValueError):
-    """Rejected RAM geometry (zero depth, inconsistent address width, bad key)."""
+    """Rejected RAM geometry (depth outside 1..2**32, inconsistent address
+    width, bad key)."""
 
 
 def _addr_bits_for(depth_words: int) -> int:
@@ -42,6 +45,10 @@ class RamConfig:
     def __post_init__(self):
         if self.depth_words < 1:
             raise InvalidConfig(f"depth_words must be >= 1, got {self.depth_words}")
+        if self.depth_words > MAX_DEPTH_WORDS:
+            raise InvalidConfig(
+                f"depth_words must be <= 2**32 (32-bit addresses), got {self.depth_words}"
+            )
         if self.data_bits != WORD_BITS:
             raise InvalidConfig(f"data_bits is fixed at {WORD_BITS}, got {self.data_bits}")
         if not 0 <= self.device_ipv6 <= KEY_MASK:
@@ -67,11 +74,15 @@ class Status(enum.IntEnum):
 
 
 class IotRam:
-    """One RAM instance: zeroed words, a cycle counter, a registered output."""
+    """One RAM instance: zeroed words, a cycle counter, a registered output.
+
+    Words are stored sparsely, by address, as they are written; a word never
+    written reads 0. So a RAM of any depth allocates nothing up front.
+    """
 
     def __init__(self, config: RamConfig):
         self.config = config
-        self.words = [0] * config.depth_words
+        self.words: dict[int, int] = {}
         self.cycle_count = 0
         self.last_dout = 0
 
@@ -96,6 +107,6 @@ class IotRam:
         status = self._gate(key, addr)
         if status is not Status.OK:
             return status, 0
-        value = self.words[addr]
+        value = self.words.get(addr, 0)
         self.last_dout = value
         return status, value

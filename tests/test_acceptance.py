@@ -177,7 +177,7 @@ def test_c7_ram_map_oracle():
     ram = IotRam(RamConfig(depth_words=depth, device_ipv6=DEVICE_KEY))
     for addr in range(depth):
         ram.write(DEVICE_KEY, addr, addr * 7 + 1)
-    snapshot = list(ram.words)
+    snapshot = dict(ram.words)
     for _ in range(10_000):
         key = rng.getrandbits(128)
         if key == DEVICE_KEY:

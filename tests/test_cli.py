@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import pathlib
 import socket
+import subprocess
 import sys
 
 import pytest
+
+import iotram
 
 from iotram.cli import (
     EXIT_BIND,
@@ -289,6 +294,33 @@ def test_ram_run_bad_depth(capsys, tmp_path):
     trace.write_text("R 0\n")
     code, _, err = run(capsys, "ram-run", "--trace", str(trace), "--depth", "0")
     assert code == EXIT_USAGE
+
+
+# Runs `iotram` under a 1 GB address-space limit that the child process sets
+# on itself, so that a depth allocated up front fails there and not here.
+_UNDER_1GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from iotram.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("depth,code", [("4294967296", EXIT_OK), ("4294967297", EXIT_USAGE)])
+def test_ram_run_depth_limits_under_1gb(tmp_path, depth, code):
+    trace = tmp_path / "ops.trace"
+    trace.write_text("W 4294967295 DEADBEEF\nR 4294967295\n")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(iotram.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_1GB, "ram-run", "--trace", str(trace), "--depth", depth],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == EXIT_OK:
+        assert "ReadOk DEADBEEF" in proc.stdout
+    else:
+        assert proc.stderr == "iotram: depth_words must be <= 2**32 (32-bit addresses), got 4294967297\n"
 
 
 def test_serve_bind_failure(capsys):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from iotram.power import model
 from iotram.power import (
     CalibrationDataset,
     DegenerateFit,
@@ -209,25 +210,102 @@ def test_predict_rejects_nonpositive(ds, coeffs, f_ghz):
     with pytest.raises(NonPositiveFrequency):
         predict(coeffs, IoStandard.LVCMOS12, f_ghz)
     with pytest.raises(NonPositiveFrequency):
-        power_at(ds, IoStandard.LVCMOS12, f_ghz, coeffs)
+        power_at(ds, IoStandard.LVCMOS12, f_ghz)
 
 
 def test_predict_rejects_overflowing_frequency(ds, coeffs):
     with pytest.raises(NonPositiveFrequency, match="overflows"):
         predict(coeffs, IoStandard.LVCMOS25, 1.7e308)
     with pytest.raises(NonPositiveFrequency, match="overflows"):
-        power_at(ds, IoStandard.LVCMOS25, 1.7e308, coeffs)
+        power_at(ds, IoStandard.LVCMOS25, 1.7e308)
 
 
-def test_power_at_prefers_grid_cell(ds, coeffs):
-    pb = power_at(ds, IoStandard.LVCMOS12, 2.4, coeffs)
+def test_power_at_prefers_grid_cell(ds):
+    pb = power_at(ds, IoStandard.LVCMOS12, 2.4)
     assert pb == ds.lookup(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
 
 
 def test_power_at_off_grid_predicts(ds, coeffs):
-    assert power_at(ds, IoStandard.LVCMOS18, 4.2, coeffs) == predict(
+    assert power_at(ds, IoStandard.LVCMOS18, 4.2) == predict(
         coeffs, IoStandard.LVCMOS18, 4.2
     )
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The grids passed to `iotram.power.model.fit` from here on, in order.
+
+    `power_at` looks `fit` up by its module-global name, so the counter sees
+    every fit it makes; the `fit` imported above stays uncounted.
+    """
+    calls = []
+
+    def counted(ds):
+        calls.append(ds)
+        return fit(ds)
+
+    monkeypatch.setattr(model, "fit", counted)
+    return calls
+
+
+def test_off_grid_power_at_fits_a_grid_once(fit_calls):
+    ds = builtin_dataset()
+    first = power_at(ds, IoStandard.LVCMOS18, 4.2)
+    for f_ghz in (1.0, 3.0, 4.2, 1.0):
+        power_at(ds, IoStandard.LVCMOS12, f_ghz)
+    assert power_at(ds, IoStandard.LVCMOS18, 4.2) == first
+    assert fit_calls == [ds]
+
+
+def test_fit_is_kept_for_power_at(fit_calls):
+    ds = builtin_dataset()
+    coeffs = fit(ds)
+    for std in IoStandard:
+        assert power_at(ds, std, 4.2) == predict(coeffs, std, 4.2)
+    assert fit_calls == []
+    # Every caller gets the kept coefficients, so none may change them.
+    with pytest.raises(TypeError):
+        coeffs.io[IoStandard.LVCMOS12] = coeffs.clock
+    with pytest.raises(TypeError):
+        del coeffs.leakage[IoStandard.LVCMOS12]
+
+
+def test_a_fit_that_raises_is_not_kept(ds, fit_calls):
+    keep = {
+        (s, c): cell
+        for (s, c), cell in ds.cells.items()
+        if s is IoStandard.LVCMOS12 or c is WlanChannel.GHZ_2_4
+    }
+    partial = CalibrationDataset(cells=keep, provenance="partial")
+    for _ in range(2):
+        with pytest.raises(DegenerateFit):
+            power_at(partial, IoStandard.LVCMOS12, 4.2)
+    assert fit_calls == [partial, partial]
+    assert partial._fit is None
+
+
+def test_cells_are_read_only():
+    ds = builtin_dataset()
+    key = (IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
+    with pytest.raises(TypeError):
+        ds.cells[key] = ds.cells[(IoStandard.LVCMOS25, WlanChannel.GHZ_2_4)]
+    with pytest.raises(TypeError):
+        del ds.cells[key]
+    # The grid holds a copy: the mapping it was built from may change freely.
+    cells = dict(ds.cells)
+    grid = CalibrationDataset(cells)
+    cells.clear()
+    assert grid.cells == ds.cells
+
+
+def test_a_fitted_grid_equals_an_unfitted_copy(fit_calls):
+    ds = builtin_dataset()
+    fit(ds)
+    power_at(ds, IoStandard.LVCMOS12, 4.2)
+    assert fit_calls == []
+    unfitted = CalibrationDataset(ds.cells, ds.provenance)
+    assert ds == unfitted
+    assert repr(ds) == repr(unfitted)
 
 
 def test_energy_per_cycle_from_grid(ds):

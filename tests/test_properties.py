@@ -2,8 +2,9 @@
 
 Every command line gives a documented exit code with one `iotram:` (or
 argparse) line on stderr and never a traceback; every calibration text the
-reader accepts either fits with finite coefficients or raises one of the
-fit's documented errors. Example counts are fixed and there is no deadline,
+reader accepts either fits with finite coefficients, and then prices every
+off-grid frequency as that fit predicts, or raises one of the fit's
+documented errors. Example counts are fixed and there is no deadline,
 so the run time is bounded and nothing depends on timing.
 """
 
@@ -18,7 +19,10 @@ from iotram.power import (
     CALIBRATION_HEADER,
     DegenerateFit,
     MissingCell,
+    NonPositiveFrequency,
     fit,
+    power_at,
+    predict,
     read_calibration,
 )
 from test_golden import run_cli
@@ -26,9 +30,12 @@ from test_golden import run_cli
 STANDARD_NAMES = ("LVCMOS12", "LVCMOS15", "LVCMOS18", "LVCMOS25")
 CARRIERS_GHZ = (0.9, 2.4, 3.6, 5.0, 5.9)
 
-# Mostly plausible watts, with zeros, the smallest subnormal and values whose
-# sums overflow.
-_WATTS = st.one_of(st.floats(0.0, 20.0), st.sampled_from([0.0, 5e-324, 1e308, 1.7e308]))
+# Plausible watts, and a few extreme values in some grids: zero, the smallest
+# subnormal and values whose sums overflow. Extremes are drawn per grid, not
+# per value: with one chance in two per value nearly every grid overflowed
+# its fit, and no drawn grid reached the checks on a fit that succeeds.
+_WATTS = st.floats(0.0, 20.0)
+_EXTREME = st.sampled_from([0.0, 5e-324, 1e308, 1.7e308])
 _REJECTED = st.sampled_from([-1.0, -math.inf, math.inf, math.nan])
 
 
@@ -36,14 +43,16 @@ _REJECTED = st.sampled_from([-1.0, -math.inf, math.inf, math.nan])
 def calibration_texts(draw) -> str:
     """A grid of some standards at two or more channels, less one cell in some
     grids (so a standard may have a single channel, or the grid a single
-    frequency), with one rail all zero in some and one value the reader
-    rejects in others."""
+    frequency), with up to two extreme values in some, one rail all zero in
+    some and one value the reader rejects in others."""
     stds = draw(st.lists(st.sampled_from(STANDARD_NAMES), min_size=1, max_size=3, unique=True))
     ghzs = draw(st.lists(st.sampled_from(CARRIERS_GHZ), min_size=2, max_size=4, unique=True))
     cells = [(std, ghz) for std in stds for ghz in ghzs]
     if draw(st.booleans()):
         cells.remove(draw(st.sampled_from(cells)))
     values = draw(st.lists(_WATTS, min_size=6 * len(cells), max_size=6 * len(cells)))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_EXTREME)
     zero_rail = draw(st.one_of(st.none(), st.integers(0, 5)))
     if zero_rail is not None:
         values[zero_rail::6] = [0.0] * len(cells)
@@ -96,7 +105,7 @@ def command_lines(draw, sub: str) -> list[str]:
         priced = draw(st.booleans())
         argv = (opt("trace", st.sampled_from(["{dir}/ops.trace"] * 3 + ["{dir}/bad.trace"]), True)
                 + opt("key", st.sampled_from(["2001:db8::2", "ff", "not-a-key"]))
-                + opt("depth", st.sampled_from(["16", "16", "0", "-1", "x"]))
+                + opt("depth", st.sampled_from(["16", "4294967296", "0", "-1", "x", "16", "4294967297"]))
                 + opt("standard", _STANDARD, priced) + opt("channel", _CHANNEL, priced))
     path = draw(_INPUT)
     return [sub] + argv + ([f"--input={path}"] if path else [])
@@ -143,3 +152,24 @@ def test_accepted_grids_fit_finite_or_raise_documented_errors(text):
     for rail_fit in fits:
         assert math.isfinite(rail_fit.slope_w_per_ghz), rail_fit
         assert math.isfinite(rail_fit.intercept_w), rail_fit
+
+    # A fresh read of the same text, so that power_at's first call fits it and
+    # the repeat call uses the fit kept on the grid.
+    fresh = read_calibration(text)
+    for std in ds.standards():
+        for f_ghz in OFF_GRID_GHZ:
+            want = _outcome(predict, coeffs, std, f_ghz)
+            assert _outcome(power_at, fresh, std, f_ghz) == want, (std, f_ghz)
+            assert _outcome(power_at, fresh, std, f_ghz) == want, (std, f_ghz)
+
+
+#: Frequencies between and beyond the table channels.
+OFF_GRID_GHZ = (0.5, 3.0, 5.5, 7.0)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the documented error it raised."""
+    try:
+        return fn(*args)
+    except NonPositiveFrequency:
+        return NonPositiveFrequency

@@ -42,6 +42,9 @@ def test_config_rejects_bad_geometry():
         RamConfig(device_ipv6=1 << 128)
     with pytest.raises(InvalidConfig):
         RamConfig(device_ipv6=-1)
+    # Addresses are 32-bit: 2**32 words is the deepest RAM.
+    with pytest.raises(InvalidConfig, match=r"2\*\*32"):
+        RamConfig(depth_words=(1 << 32) + 1)
 
 
 def test_memory_starts_zeroed(ram):

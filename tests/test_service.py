@@ -264,7 +264,7 @@ def test_concurrent_writes_serialize(ram):
 
     # Union of all writes, none lost or torn.
     for addr in range(80):
-        assert ram.words[addr] == addr + 1000
+        assert ram.read(KEY, addr) == (Status.OK, addr + 1000)
     assert svc.ledger.ops_total == 80
     assert svc.ledger.cycles == 80
 
