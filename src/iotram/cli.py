@@ -275,6 +275,11 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if fatal else EXIT_OK
 
 
+#: `ram-run` writes its per-operation lines this many at a time: a write per
+#: line is slow, and one string for the whole run would grow with the trace.
+_LINES_PER_WRITE = 1024
+
+
 def cmd_ram_run(args) -> int:
     device_key = _parse_key(args.device_key)
     key = device_key if args.key is None else _parse_key(args.key)
@@ -297,13 +302,19 @@ def cmd_ram_run(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read trace {args.trace}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_IO, f"trace {args.trace} is not UTF-8: {exc}") from None
     ops = parse_trace(text)
     ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
 
     results, summary = run_trace(ram, ops, key)
-    for op, status, data in results:
-        mnemonic = f"W {op.addr} {op.data:08X}" if op.is_write else f"R {op.addr}"
-        print(f"{op.lineno:>5}  {mnemonic:<24} -> {render_outcome(op, status, data)}")
+    out = sys.stdout
+    for start in range(0, len(results), _LINES_PER_WRITE):
+        lines = []
+        for op, status, data in results[start:start + _LINES_PER_WRITE]:
+            mnemonic = f"W {op.addr} {op.data:08X}" if op.is_write else f"R {op.addr}"
+            lines.append(f"{op.lineno:>5}  {mnemonic:<24} -> {render_outcome(op, status, data)}\n")
+        out.write("".join(lines))
     print(
         f"cycles={summary.cycles} writes={summary.writes} reads={summary.reads} "
         f"auth_fails={summary.auth_fails} range_errors={summary.range_errors}"

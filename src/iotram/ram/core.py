@@ -73,11 +73,20 @@ class Status(enum.IntEnum):
     BAD_OPCODE = 4
 
 
+# The per-access code names the members through these aliases: on CPython
+# 3.11, EnumType defines __getattr__, which makes each `Status.X` lookup cost
+# about 0.15 µs, against 0.01 µs for a module name.
+_OK, _AUTH_FAIL, _ADDR_RANGE = Status.OK, Status.AUTH_FAIL, Status.ADDR_RANGE
+
+
 class IotRam:
     """One RAM instance: zeroed words, a cycle counter, a registered output.
 
     Words are stored sparsely, by address, as they are written; a word never
     written reads 0. So a RAM of any depth allocates nothing up front.
+
+    `read` and `write` each gate the access themselves: they charge the
+    cycle, then check the key, then the address.
     """
 
     def __init__(self, config: RamConfig):
@@ -86,27 +95,25 @@ class IotRam:
         self.cycle_count = 0
         self.last_dout = 0
 
-    def _gate(self, key: int, addr: int) -> Status:
-        # Both checks consume the cycle; auth is checked before the address.
-        self.cycle_count += 1
-        if key != self.config.device_ipv6:
-            return Status.AUTH_FAIL
-        if not 0 <= addr < self.config.depth_words:
-            return Status.ADDR_RANGE
-        return Status.OK
-
     def write(self, key: int, addr: int, data: int) -> tuple[Status, int]:
         """Store a word; returns (status, 0), status being OK, AUTH_FAIL or ADDR_RANGE."""
-        status = self._gate(key, addr)
-        if status is Status.OK:
-            self.words[addr] = data & WORD_MASK
-        return status, 0
+        self.cycle_count += 1
+        config = self.config
+        if key != config.device_ipv6:
+            return _AUTH_FAIL, 0
+        if not 0 <= addr < config.depth_words:
+            return _ADDR_RANGE, 0
+        self.words[addr] = data & WORD_MASK
+        return _OK, 0
 
     def read(self, key: int, addr: int) -> tuple[Status, int]:
         """Load a word; returns (OK, word), or (AUTH_FAIL or ADDR_RANGE, 0)."""
-        status = self._gate(key, addr)
-        if status is not Status.OK:
-            return status, 0
+        self.cycle_count += 1
+        config = self.config
+        if key != config.device_ipv6:
+            return _AUTH_FAIL, 0
+        if not 0 <= addr < config.depth_words:
+            return _ADDR_RANGE, 0
         value = self.words.get(addr, 0)
         self.last_dout = value
-        return status, value
+        return _OK, value

@@ -7,8 +7,13 @@ decimal, data in hex; `#` starts a comment, blank lines are skipped.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from .core import WORD_MASK, IotRam, Status
+
+
+# Aliases for the per-op code; see the note in `core`.
+_AUTH_FAIL, _ADDR_RANGE = Status.AUTH_FAIL, Status.ADDR_RANGE
 
 
 class TraceError(ValueError):
@@ -19,8 +24,7 @@ class TraceError(ValueError):
         self.lineno = lineno
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceOp:
+class TraceOp(typing.NamedTuple):
     lineno: int
     is_write: bool
     addr: int
@@ -38,6 +42,7 @@ class TraceSummary:
 
 def parse_trace(text: str) -> list[TraceOp]:
     ops = []
+    append = ops.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -54,11 +59,11 @@ def parse_trace(text: str) -> list[TraceOp]:
                 raise TraceError(lineno, f"bad hex data {parts[2]!r}") from None
             if not 0 <= data <= WORD_MASK:
                 raise TraceError(lineno, f"data {parts[2]!r} exceeds 32 bits")
-            ops.append(TraceOp(lineno, True, addr, data))
+            append(TraceOp(lineno, True, addr, data))
         elif op == "R":
             if len(parts) != 2:
                 raise TraceError(lineno, f"read needs '<addr>', got {line!r}")
-            ops.append(TraceOp(lineno, False, _parse_addr(lineno, parts[1])))
+            append(TraceOp(lineno, False, _parse_addr(lineno, parts[1])))
         else:
             raise TraceError(lineno, f"unknown op {parts[0]!r} (expected W or R)")
     return ops
@@ -78,30 +83,31 @@ def run_trace(
     ram: IotRam, ops: list[TraceOp], key: int
 ) -> tuple[list[tuple[TraceOp, Status, int]], TraceSummary]:
     """Execute parsed ops in order; returns (op, status, data) per op and tallies."""
+    read, write = ram.read, ram.write
     results = []
-    summary = TraceSummary()
+    append = results.append
+    writes = reads = auth_fails = range_errors = 0
     for op in ops:
-        if op.is_write:
-            status, data = ram.write(key, op.addr, op.data)
+        _, is_write, addr, word = op
+        status, data = write(key, addr, word) if is_write else read(key, addr)
+        append((op, status, data))
+        if status is _AUTH_FAIL:
+            auth_fails += 1
+        elif status is _ADDR_RANGE:
+            range_errors += 1
+        elif is_write:
+            writes += 1
         else:
-            status, data = ram.read(key, op.addr)
-        results.append((op, status, data))
-        summary.cycles += 1
-        if status is Status.AUTH_FAIL:
-            summary.auth_fails += 1
-        elif status is Status.ADDR_RANGE:
-            summary.range_errors += 1
-        elif op.is_write:
-            summary.writes += 1
-        else:
-            summary.reads += 1
+            reads += 1
+    summary = TraceSummary(cycles=len(ops), writes=writes, reads=reads,
+                           auth_fails=auth_fails, range_errors=range_errors)
     return results, summary
 
 
 def render_outcome(op: TraceOp, status: Status, data: int) -> str:
     """The word `ram-run` prints for one executed op."""
-    if status is Status.AUTH_FAIL:
+    if status is _AUTH_FAIL:
         return "AuthFail"
-    if status is Status.ADDR_RANGE:
+    if status is _ADDR_RANGE:
         return "AddrRange"
     return "WriteOk" if op.is_write else f"ReadOk {data:08X}"

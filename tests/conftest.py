@@ -1,4 +1,8 @@
-"""Shared oracle data for the test suite.
+"""Shared oracle data and Hypothesis settings for the test suite.
+
+Every property test runs under one Hypothesis profile: derandomized, so each
+run draws the same examples, and with no deadline, so a slow host cannot fail
+an example for its timing. Tests set only their example counts.
 
 GOLDEN_TABLES re-transcribes the published power tables in their printed
 layout: one block per channel, one row per rail, columns in ascending supply
@@ -8,6 +12,10 @@ either copy. Values in watts.
 """
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 GOLDEN_TABLES = {
     0.9: {

@@ -281,6 +281,16 @@ def test_ram_run_missing_trace(capsys):
     assert code == EXIT_IO
 
 
+def test_ram_run_trace_not_utf8(capsys, tmp_path):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(b"W 0 FF\n\xff\xfe R 0\n")
+    code, out, err = run(capsys, "ram-run", "--trace", str(trace))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.startswith(f"iotram: trace {trace} is not UTF-8: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_ram_run_malformed_trace(capsys, tmp_path):
     trace = tmp_path / "bad.trace"
     trace.write_text("W 0\n")

@@ -104,6 +104,58 @@ def test_wire_transcript():
 
 _CELL_12_24 = "LVCMOS12,2.4,0.161,0.091,3.062,0.160,1.374,4.849"
 
+LONG_TRACE_SEED = 20151122
+LONG_TRACE_OPS = 2500
+LONG_TRACE_DEPTH = 300
+
+
+def _long_trace(rng: random.Random) -> str:
+    """A trace of LONG_TRACE_OPS operations in every spelling the parser
+    accepts: either case of op, hex data with or without `0x`, in either
+    case, with leading zeros or underscores, decimal addresses with leading
+    zeros, a sign or underscores, addresses past LONG_TRACE_DEPTH, inline
+    and whole-line comments, blank and whitespace-only lines, tabs, and
+    `\\n`, `\\r\\n` and form-feed line ends."""
+
+    def addr() -> str:
+        roll = rng.random()
+        if roll < 0.08:
+            return str(rng.choice((LONG_TRACE_DEPTH, LONG_TRACE_DEPTH + rng.randrange(5000),
+                                   10**12 + rng.randrange(10))))
+        value = rng.randrange(48) if roll < 0.6 else rng.randrange(LONG_TRACE_DEPTH)
+        return rng.choice((str(value),) * 6 + (f"0{value}", f"+{value}", "_".join(str(value))))
+
+    def data() -> str:
+        value = rng.getrandbits(rng.choice((32, 32, 32, 16, 4)))
+        return rng.choice((
+            f"{value:08X}", f"{value:08X}", f"{value:x}", f"0x{value:X}", f"0X{value:x}",
+            f"{value:X}", f"{value:010x}", f"{value:_x}", f"+{value:x}",
+        ))
+
+    lines, ops = ["# long trace: every accepted spelling"], 0
+    while ops < LONG_TRACE_OPS:
+        roll = rng.random()
+        if roll < 0.02:
+            lines.append(rng.choice(("", "   ", "\t")))
+            continue
+        if roll < 0.03:
+            lines.append(f"# block {ops}")
+            continue
+        sep = rng.choice((" ",) * 8 + ("  ", "\t"))
+        if rng.random() < 0.55:
+            line = f"{rng.choice('WWWw')}{sep}{addr()}{sep}{data()}"
+        else:
+            line = f"{rng.choice('RRRr')}{sep}{addr()}"
+        if rng.random() < 0.03:
+            line = rng.choice(("  ", "\t")) + line + rng.choice(("", "  "))
+        if rng.random() < 0.04:
+            line += rng.choice(("  # inline", "# tight", "\t#tab"))
+        lines.append(line)
+        ops += 1
+    ends = [rng.choice(("\n",) * 12 + ("\r\n",) * 3 + ("\f",)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
 FILES = {
     "one.csv": f"{CALIBRATION_HEADER}\n{_CELL_12_24}\n",
     "two.csv": (
@@ -137,6 +189,7 @@ FILES = {
     ) + "R 15\nW 16 0\n",
     "energy.trace": "".join(f"W {i % 256} 1\n" for i in range(10)),
     "bad.trace": "R 0\nW 0\n",
+    "long.trace": _long_trace(random.Random(LONG_TRACE_SEED)),
 }
 
 _T = "{tmp}/"
@@ -216,6 +269,10 @@ CLI_CASES = [
      "--input", _T + "one.csv"],
     ["ram-run", "--trace", _T + "ops.trace", "--standard", "LVCMOS15", "--channel", "2.4",
      "--input", _T + "two.csv"],
+    # More than two batches of output lines plus a remainder.
+    ["ram-run", "--trace", _T + "long.trace", "--depth", str(LONG_TRACE_DEPTH),
+     "--standard", "LVCMOS18", "--channel", "5.0"],
+    ["ram-run", "--trace", _T + "long.trace", "--depth", str(LONG_TRACE_DEPTH), "--key", "2001:db8::2"],
     # serve cases that fail before the socket is bound.
     ["serve", "--standard", "LVCMOS15", "--input", _T + "two.csv"],
     ["serve", "--channel", "5.0", "--input", _T + "one.csv"],

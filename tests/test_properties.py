@@ -4,8 +4,9 @@ Every command line gives a documented exit code with one `iotram:` (or
 argparse) line on stderr and never a traceback; every calibration text the
 reader accepts either fits with finite coefficients, and then prices every
 off-grid frequency as that fit predicts, or raises one of the fit's
-documented errors. Example counts are fixed and there is no deadline,
-so the run time is bounded and nothing depends on timing.
+documented errors. Example counts are fixed, and the profile in conftest.py
+derandomizes every property test and lifts its deadline, so the run time is
+bounded and nothing depends on timing.
 """
 
 import math
@@ -120,7 +121,7 @@ def workdir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
-@settings(deadline=None, max_examples=50, derandomize=True)
+@settings(max_examples=50)
 @given(data=st.data(), grid=calibration_texts())
 def test_every_command_line_exits_with_a_documented_code(workdir, sub, data, grid):
     argv = data.draw(command_lines(sub), label="argv")
@@ -137,7 +138,7 @@ def test_every_command_line_exits_with_a_documented_code(workdir, sub, data, gri
         assert re.match(r"iotram(: | [\w-]+: error: )", lines[-1]), err
 
 
-@settings(deadline=None, max_examples=100, derandomize=True)
+@settings(max_examples=100)
 @given(text=calibration_texts())
 def test_accepted_grids_fit_finite_or_raise_documented_errors(text):
     try:

@@ -1,10 +1,23 @@
-"""Trace parsing and execution."""
+"""Trace parsing and execution, with a property that checks both against a
+dict model over generated trace texts."""
 
+import dataclasses
 import ipaddress
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iotram.ram import IotRam, RamConfig, TraceError, parse_trace, render_outcome, run_trace
+from iotram.ram import (
+    IotRam,
+    RamConfig,
+    Status,
+    TraceError,
+    TraceOp,
+    parse_trace,
+    render_outcome,
+    run_trace,
+)
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 
@@ -70,3 +83,122 @@ def test_run_trace_wrong_key():
     assert summary.auth_fails == 2
     assert summary.writes == 0
     assert ram.read(KEY, 0)[1] == 0
+
+
+# ------------------------------------------------- parse and run, as a model
+
+DEPTH = 64
+WRONG = KEY ^ 1
+
+_SEP = st.sampled_from([" ", "  ", "\t"])
+# Mostly a few hot words, so that reads see earlier writes.
+_ADDR = st.one_of(
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, DEPTH + 8),
+    st.sampled_from([10**12, 2**32 - 1]),
+)
+_NOTE = st.sampled_from(["", "", "", "  # note", "#tight", "\t# tab"])
+_IGNORED = st.sampled_from(["", "   ", "\t", "# comment", "  # indented comment"])
+#: Lines parse_trace rejects, each written the way the parser sees it.
+_BAD = st.sampled_from([
+    "W 5", "W 5 11 22", "R", "R 1 2", "X 1", "W zz FF", "W 0x10 FF", "W -3 FF",
+    "W 1 GG", "W 1 1FFFFFFFF", "W 1 0x", "R banana", "R -1", "R 1.5", "WR 1",
+])
+
+
+@st.composite
+def _addr_text(draw) -> tuple[int, str]:
+    addr = draw(_ADDR)
+    return addr, draw(st.sampled_from([str(addr), f"0{addr}", f"+{addr}"]))
+
+
+@st.composite
+def _data_text(draw) -> tuple[int, str]:
+    data = draw(st.integers(0, 2**32 - 1))
+    spelling = draw(st.sampled_from(["{:08X}", "{:x}", "0x{:X}", "0X{:x}", "{:010x}"]))
+    return data, spelling.format(data)
+
+
+@st.composite
+def trace_lines(draw) -> tuple[str, tuple | None]:
+    """One trace line and what it means: ("W", addr, data), ("R", addr),
+    ("bad",), or None for a line the parser skips."""
+    roll = draw(st.integers(0, 99))
+    if roll < 10:
+        return draw(_IGNORED), None
+    if roll < 13:
+        return draw(_BAD) + draw(_NOTE), ("bad",)
+    sep = draw(_SEP)
+    addr, addr_text = draw(_addr_text())
+    if roll < 60:
+        data, data_text = draw(_data_text())
+        line = f"{draw(st.sampled_from('Ww'))}{sep}{addr_text}{sep}{data_text}"
+        meaning = ("W", addr, data)
+    else:
+        line, meaning = f"{draw(st.sampled_from('Rr'))}{sep}{addr_text}", ("R", addr)
+    indent = draw(st.sampled_from(["", "", " ", "\t"]))
+    return indent + line + draw(_NOTE), meaning
+
+
+@st.composite
+def trace_texts(draw) -> tuple[str, list]:
+    lines = draw(st.lists(trace_lines(), max_size=40))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for (line, _), end in zip(lines, ends))
+    return text, [meaning for _, meaning in lines]
+
+
+def _model(meanings: list, key_ok: bool):
+    """What parse_trace and run_trace must give, from a plain dict: the line
+    number of the first bad line, or the per-op results with the tally, the
+    cycle count and the last word read."""
+    words: dict[int, int] = {}
+    results, last_dout = [], 0
+    tally = {"writes": 0, "reads": 0, "auth_fails": 0, "range_errors": 0}
+    for lineno, meaning in enumerate(meanings, start=1):
+        if meaning is None:
+            continue
+        if meaning[0] == "bad":
+            return lineno, None
+        is_write, addr = meaning[0] == "W", meaning[1]
+        data = meaning[2] if is_write else None
+        if not key_ok:
+            status, out = Status.AUTH_FAIL, 0
+            tally["auth_fails"] += 1
+        elif addr >= DEPTH:
+            status, out = Status.ADDR_RANGE, 0
+            tally["range_errors"] += 1
+        elif is_write:
+            words[addr] = data
+            status, out = Status.OK, 0
+            tally["writes"] += 1
+        else:
+            status, out = Status.OK, words.get(addr, 0)
+            last_dout = out
+            tally["reads"] += 1
+        results.append(((lineno, is_write, addr, data), status, out))
+    return None, (results, tally, last_dout)
+
+
+@settings(max_examples=300)
+@given(trace=trace_texts(), key_ok=st.sampled_from([True, True, True, False]))
+def test_parse_and_run_match_a_dict_model(trace, key_ok):
+    text, meanings = trace
+    bad_lineno, want = _model(meanings, key_ok)
+    ram = IotRam(RamConfig(depth_words=DEPTH, device_ipv6=KEY))
+    try:
+        ops = parse_trace(text)
+    except TraceError as err:
+        assert err.lineno == bad_lineno, (err, text)
+        return
+    assert bad_lineno is None, text
+    results, summary = run_trace(ram, ops, KEY if key_ok else WRONG)
+    want_results, tally, last_dout = want
+    assert results == want_results
+    assert all(type(op) is TraceOp and status is want_status
+               for (op, status, _), (_, want_status, _) in zip(results, want_results))
+    assert dataclasses.asdict(summary) == {"cycles": len(want_results), **tally}
+    assert ram.cycle_count == len(want_results)
+    assert ram.last_dout == last_dout
