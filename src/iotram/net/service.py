@@ -29,6 +29,13 @@ DEFAULT_BIND = "127.0.0.1:18770"
 BIND_ENV_VAR = "IOTRAM_BIND"
 
 
+# handle_datagram names the members through these aliases, as ram.core does:
+# each `Opcode.X` or `Status.X` lookup costs about 0.17 µs on CPython 3.11,
+# against about 0.015 µs for a module name.
+_READ, _WRITE, _STATUS = Opcode.READ, Opcode.WRITE, Opcode.STATUS
+_OK, _BAD_OPCODE, _MALFORMED = Status.OK, Status.BAD_OPCODE, Status.MALFORMED
+
+
 class BindFailure(OSError):
     """The service endpoint could not be bound."""
 
@@ -80,17 +87,17 @@ def handle_datagram(datagram: bytes, ram: IotRam, ledger: EnergyLedger) -> bytes
     try:
         opcode, key, addr, data, seq = decode_request(datagram)
     except MalformedFrame:
-        ledger.record(Status.MALFORMED, 0)
-        return encode_response(Status.MALFORMED, 0, salvage_seq(datagram))
+        ledger.record(_MALFORMED, 0)
+        return encode_response(_MALFORMED, 0, salvage_seq(datagram))
 
-    if opcode == Opcode.READ:
+    if opcode == _READ:
         status, data = ram.read(key, addr)
-    elif opcode == Opcode.WRITE:
+    elif opcode == _WRITE:
         status, data = ram.write(key, addr, data)
-    elif opcode == Opcode.STATUS:
-        status, data = Status.OK, ram.cycle_count & 0xFFFFFFFF
+    elif opcode == _STATUS:
+        status, data = _OK, ram.cycle_count & 0xFFFFFFFF
     else:
-        status, data = Status.BAD_OPCODE, 0
+        status, data = _BAD_OPCODE, 0
 
     ledger.record(status, ram.cycle_count - cycles_before)
     return encode_response(status, data, seq)

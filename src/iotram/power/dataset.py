@@ -26,6 +26,8 @@ if TYPE_CHECKING:
 #: by up to this many watts.
 ROW_SUM_TOLERANCE_W = 0.005
 
+_INF = math.inf
+
 
 class MissingCell(KeyError):
     """A (standard, channel) pair absent from a user-supplied grid."""
@@ -47,6 +49,12 @@ class PowerBreakdown:
     total_w: float
 
     def __post_init__(self):
+        if (
+            0 <= self.clock_w < _INF and 0 <= self.signal_w < _INF and 0 <= self.bram_w < _INF
+            and 0 <= self.io_w < _INF and 0 <= self.leakage_w < _INF and 0 <= self.total_w < _INF
+        ):
+            return
+        # Some field is negative, NaN or infinite: name the first one.
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if not 0 <= value < math.inf:
@@ -195,12 +203,14 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
     and BRAM are bank-independent, so only those two rails are checked).
     """
     out: list[Diagnostic] = []
+    cells = ds.cells
+    rows = [
+        (std, [(ch, cell) for ch in ds.channels() if (cell := cells.get((std, ch))) is not None])
+        for std in ds.standards()
+    ]
 
-    for std in ds.standards():
-        for ch in ds.channels():
-            cell = ds.cells.get((std, ch))
-            if cell is None:
-                continue
+    for std, row in rows:
+        for ch, cell in row:
             if cell.row_sum_error_w > ROW_SUM_TOLERANCE_W:
                 out.append(
                     Diagnostic(
@@ -212,32 +222,35 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
                 )
 
     rails = POWER_RAILS + (Rail.TOTAL,)
-    for std in ds.standards():
-        series = [(ch, ds.cells[(std, ch)]) for ch in ds.channels() if (std, ch) in ds.cells]
+    for std, row in rows:
         for rail in rails:
-            for (ch_a, cell_a), (ch_b, cell_b) in zip(series, series[1:]):
-                if cell_b.rail(rail) <= cell_a.rail(rail):
+            field = rail.field
+            for (ch_a, cell_a), (ch_b, cell_b) in zip(row, row[1:]):
+                w_a, w_b = getattr(cell_a, field), getattr(cell_b, field)
+                if w_b <= w_a:
                     out.append(
                         Diagnostic(
                             DiagnosticCode.MONOTONIC_FREQ,
                             f"{rail.name.lower()} does not increase with frequency: "
-                            f"{cell_a.rail(rail):.3f} W at {ch_a.carrier_ghz} GHz vs "
-                            f"{cell_b.rail(rail):.3f} W at {ch_b.carrier_ghz} GHz",
+                            f"{w_a:.3f} W at {ch_a.carrier_ghz} GHz vs "
+                            f"{w_b:.3f} W at {ch_b.carrier_ghz} GHz",
                             f"({std.name}, {rail.name.lower()})",
                         )
                     )
 
     for ch in ds.channels():
-        column = [(std, ds.cells[(std, ch)]) for std in ds.standards() if (std, ch) in ds.cells]
+        column = [(std, cell) for std in ds.standards() if (cell := cells.get((std, ch))) is not None]
         for rail in (Rail.IO, Rail.TOTAL):
+            field = rail.field
             for (std_a, cell_a), (std_b, cell_b) in zip(column, column[1:]):
-                if cell_b.rail(rail) <= cell_a.rail(rail):
+                w_a, w_b = getattr(cell_a, field), getattr(cell_b, field)
+                if w_b <= w_a:
                     out.append(
                         Diagnostic(
                             DiagnosticCode.MONOTONIC_VOLT,
                             f"{rail.name.lower()} does not increase with supply voltage: "
-                            f"{cell_a.rail(rail):.3f} W for {std_a.name} vs "
-                            f"{cell_b.rail(rail):.3f} W for {std_b.name}",
+                            f"{w_a:.3f} W for {std_a.name} vs "
+                            f"{w_b:.3f} W for {std_b.name}",
                             f"({ch.carrier_ghz} GHz, {rail.name.lower()})",
                         )
                     )
@@ -279,7 +292,7 @@ def read_calibration(text: str, provenance: str = "user") -> CalibrationDataset:
         try:
             std = IoStandard.parse(parts[0])
             ch = WlanChannel.from_ghz(float(parts[1]))
-            cell = PowerBreakdown(*(float(p) for p in parts[2:]))
+            cell = PowerBreakdown(*map(float, parts[2:]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         key = (std, ch)

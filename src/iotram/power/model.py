@@ -96,9 +96,9 @@ def _affine(points: list[tuple[float, float]]) -> RailFit:
 
 
 def _series(ds: CalibrationDataset, rail: Rail, std: IoStandard) -> list[tuple[float, float]]:
-    cells = ds.cells
+    cells, field = ds.cells, rail.field
     points = [
-        (ch.carrier_ghz, cell.rail(rail))
+        (ch.carrier_ghz, getattr(cell, field))
         for ch in ds.channels()
         if (cell := cells.get((std, ch))) is not None
     ]

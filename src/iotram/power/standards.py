@@ -1,4 +1,9 @@
-"""LVCMOS IO standards and the WLAN channel set the device is clocked at."""
+"""LVCMOS IO standards and the WLAN channel set the device is clocked at.
+
+The enums here key every grid cell and fit, so they hash by identity, in C,
+where `Enum.__hash__` hashes the name in Python. Members are singletons, also
+when pickled or copied, and compare by identity, so equality is unchanged.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ class IoStandard(enum.Enum):
     LVCMOS15 = 1.5
     LVCMOS18 = 1.8
     LVCMOS25 = 2.5
+
+    __hash__ = object.__hash__
 
     @property
     def supply_voltage(self) -> float:
@@ -36,6 +43,8 @@ class WlanChannel(enum.Enum):
     GHZ_5_0 = ("802.11a/h/j/n/ac", 5.0, "4915-5825MHz")
     GHZ_5_9 = ("802.11p", 5.9, "5850-5925MHz")
 
+    __hash__ = object.__hash__
+
     def __init__(self, ieee_name: str, carrier_ghz: float, band_range: str):
         self.ieee_name = ieee_name
         self.carrier_ghz = carrier_ghz
@@ -43,7 +52,7 @@ class WlanChannel(enum.Enum):
 
     @classmethod
     def from_ghz(cls, ghz: float) -> "WlanChannel":
-        for ch in cls:
+        for ch in CHANNELS:
             if abs(ch.carrier_ghz - ghz) < 1e-9:
                 return ch
         raise ValueError(f"no WLAN channel at {ghz} GHz")
@@ -83,9 +92,11 @@ class Rail(enum.Enum):
     LEAKAGE = "leakage_w"
     TOTAL = "total_w"
 
-    @property
-    def field(self) -> str:
-        return self.value
+    __hash__ = object.__hash__
+
+    def __init__(self, field: str):
+        #: The PowerBreakdown attribute that holds this rail.
+        self.field = field
 
     @classmethod
     def parse(cls, text: str) -> "Rail":

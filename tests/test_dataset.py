@@ -88,6 +88,29 @@ def test_breakdown_rejects_negative(value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ((0.1, math.nan, 0.1, -1, 0.1, 0.3), "signal_w must be finite, got nan"),
+        ((0.1, 0.1, 0.1, -1, math.inf, 0.3), "io_w must be >= 0, got -1"),
+        ((0.1, 0.1, 0.1, 0.1, 0.1, -0.3), "total_w must be >= 0, got -0.3"),
+        ((math.inf, -1, math.nan, -1, math.nan, -1), "clock_w must be finite, got inf"),
+        ((0.0, -math.inf, math.nan, 0.1, 0.1, math.inf), "signal_w must be >= 0, got -inf"),
+        ((0.1, 0.1, math.nan, 0.1, 0.1, -0.0), "bram_w must be finite, got nan"),
+    ],
+)
+def test_breakdown_names_first_bad_field(row, message):
+    # Several fields are bad; the message names the first in declaration order.
+    with pytest.raises(ValueError) as err:
+        PowerBreakdown(*row)
+    assert str(err.value) == message
+
+
+def test_breakdown_accepts_zero_and_large():
+    cell = PowerBreakdown(0.0, -0.0, 5e-324, 1.7e308, 0, 1)
+    assert cell.rail(Rail.SIGNAL) == 0.0 and cell.rail(Rail.IO) == 1.7e308
+
+
 def test_validate_builtin_is_clean(ds):
     assert validate_dataset(ds) == []
 

@@ -178,6 +178,18 @@ FILES = {
     "badfield.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,x,0.091,3.062,0.160,1.374,4.849\n",
     "negative.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,-0.161,0.091,3.062,0.160,1.374,4.849\n",
     "nan.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,0.161,0.091,3.062,nan,1.374,4.849\n",
+    # A partial grid, rows out of order, with gaps in both axes: two row-sum
+    # errors, frequency breaks on signal (falling) and clock (equal), and
+    # supply-voltage breaks across a missing standard.
+    "tangled.csv": (
+        f"{CALIBRATION_HEADER}\n"
+        "LVCMOS25,5.0,0.341,0.192,6.380,0.952,1.496,9.363\n"
+        "LVCMOS12,0.9,0.061,0.033,1.148,0.060,1.321,2.624\n"
+        "LVCMOS12,3.6,0.246,0.138,4.593,0.240,1.419,7.000\n"
+        "LVCMOS12,5.0,0.246,0.120,6.380,0.333,1.476,8.555\n"
+        "LVCMOS18,0.9,0.061,0.033,1.148,0.050,1.323,2.615\n"
+        "LVCMOS18,5.0,0.341,0.192,6.380,0.608,1.485,9.500\n"
+    ),
     "zeroio.csv": (
         f"{CALIBRATION_HEADER}\n"
         "LVCMOS12,0.9,0.061,0.033,1.148,0.000,1.321,2.563\n"
@@ -247,6 +259,7 @@ CLI_CASES = [
     ["validate", "--input", _T + "broken.csv"],
     ["validate", "--input", _T + "nonmono.csv"],
     ["validate", "--input", _T + "missing.csv"],
+    ["validate", "--input", _T + "tangled.csv"],
     ["ram-run", "--trace", _T + "ops.trace"],
     ["ram-run", "--trace", _T + "ops.trace", "--key", "2001:db8::2"],
     ["ram-run", "--trace", _T + "wide.trace", "--depth", "16"],

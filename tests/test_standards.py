@@ -1,5 +1,9 @@
 """IO standard and WLAN channel enumerations."""
 
+import copy
+import math
+import pickle
+
 import pytest
 
 from iotram.power import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
@@ -59,8 +63,27 @@ def test_channels_sorted_by_carrier():
 
 def test_channel_from_ghz():
     assert WlanChannel.from_ghz(5.9) is WlanChannel.GHZ_5_9
-    with pytest.raises(ValueError):
-        WlanChannel.from_ghz(7.0)
+    # The match tolerance is 1e-9 GHz either way.
+    assert WlanChannel.from_ghz(2.4 + 5e-10) is WlanChannel.GHZ_2_4
+    assert WlanChannel.from_ghz(2.4 - 5e-10) is WlanChannel.GHZ_2_4
+    for ghz in (7.0, 2.4 + 1e-8, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as err:
+            WlanChannel.from_ghz(ghz)
+        assert str(err.value) == f"no WLAN channel at {ghz} GHz"
+
+
+@pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_members_survive_copies_as_keys(clone):
+    # Members hash by identity; a copied member is the same singleton, so it
+    # still finds the cell keyed by the original.
+    cells = {(std, ch): (std.name, ch.name) for std in STANDARDS for ch in CHANNELS}
+    for (std, ch), want in cells.items():
+        assert clone(std) is std and clone(ch) is ch
+        assert cells[(clone(std), clone(ch))] == want
+    assert clone(cells) == cells
+    rails = {rail: rail.value for rail in Rail}
+    assert {clone(rail): v for rail, v in rails.items()} == rails
 
 
 @pytest.mark.parametrize(
@@ -87,6 +110,7 @@ def test_channel_parse_rejects_unknown():
 def test_rail_fields():
     assert Rail.CLOCK.field == "clock_w"
     assert Rail.TOTAL.field == "total_w"
+    assert all(rail.field == rail.value for rail in Rail)
     assert Rail.parse("io") is Rail.IO
     assert Rail.parse("LEAKAGE") is Rail.LEAKAGE
     with pytest.raises(ValueError):
