@@ -37,7 +37,7 @@ class MissingCell(KeyError):
         return str(self.args[0])
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class PowerBreakdown:
     """The five power rails plus the reported total, in watts."""
 
@@ -48,19 +48,27 @@ class PowerBreakdown:
     leakage_w: float
     total_w: float
 
-    def __post_init__(self):
-        if (
-            0 <= self.clock_w < _INF and 0 <= self.signal_w < _INF and 0 <= self.bram_w < _INF
-            and 0 <= self.io_w < _INF and 0 <= self.leakage_w < _INF and 0 <= self.total_w < _INF
+    # Hand-written: a generated frozen __init__ sets each field through
+    # object.__setattr__, and a __post_init__ check reads them all back.
+    def __init__(
+        self, clock_w: float, signal_w: float, bram_w: float,
+        io_w: float, leakage_w: float, total_w: float,
+    ):
+        if not (
+            0 <= clock_w < _INF and 0 <= signal_w < _INF and 0 <= bram_w < _INF
+            and 0 <= io_w < _INF and 0 <= leakage_w < _INF and 0 <= total_w < _INF
         ):
-            return
-        # Some field is negative, NaN or infinite: name the first one.
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not 0 <= value < math.inf:
-                if value < 0:
-                    raise ValueError(f"{field.name} must be >= 0, got {value}")
-                raise ValueError(f"{field.name} must be finite, got {value}")
+            # Some field is negative, NaN or infinite: name the first one.
+            values = (clock_w, signal_w, bram_w, io_w, leakage_w, total_w)
+            for field, value in zip(dataclasses.fields(self), values):
+                if not 0 <= value < _INF:
+                    if value < 0:
+                        raise ValueError(f"{field.name} must be >= 0, got {value}")
+                    raise ValueError(f"{field.name} must be finite, got {value}")
+        self.__dict__.update(
+            clock_w=clock_w, signal_w=signal_w, bram_w=bram_w,
+            io_w=io_w, leakage_w=leakage_w, total_w=total_w,
+        )
 
     def rail(self, rail: Rail) -> float:
         return getattr(self, rail.field)

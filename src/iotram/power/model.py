@@ -18,9 +18,10 @@ import enum
 import math
 import types
 from collections.abc import Mapping
+from operator import mul
 
 from .dataset import CalibrationDataset, MissingCell, PowerBreakdown
-from .standards import IoStandard, Rail, WlanChannel
+from .standards import IoStandard, Rail, channel_at
 
 
 class DegenerateFit(ValueError):
@@ -71,24 +72,22 @@ class ModelCoefficients:
         object.__setattr__(self, "leakage", types.MappingProxyType(dict(self.leakage)))
 
 
-def _through_origin(points: list[tuple[float, float]]) -> RailFit:
+def _through_origin(fs: list[float], ys: list[float]) -> RailFit:
     # OLS through (0, 0): slope = sum(f*y) / sum(f^2)
-    sfy = sum(f * y for f, y in points)
-    sf2 = sum(f * f for f, _ in points)
-    return RailFit(sfy / sf2, 0.0, FitKind.THROUGH_ORIGIN)
+    return RailFit(sum(map(mul, fs, ys)) / sum(map(mul, fs, fs)), 0.0, FitKind.THROUGH_ORIGIN)
 
 
-def _affine(points: list[tuple[float, float]]) -> RailFit:
+def _affine(fs: list[float], ys: list[float]) -> RailFit:
     # Standard normal equations for y = slope*f + intercept; they have one
     # solution only when the series holds two or more distinct frequencies.
-    distinct = {f for f, _ in points}
+    distinct = set(fs)
     if len(distinct) < 2:
         raise DegenerateFit(f"affine fit needs 2 distinct frequencies, got {sorted(distinct)}")
-    n = len(points)
-    sf = sum(f for f, _ in points)
-    sy = sum(y for _, y in points)
-    sfy = sum(f * y for f, y in points)
-    sf2 = sum(f * f for f, _ in points)
+    n = len(fs)
+    sf = sum(fs)
+    sy = sum(ys)
+    sfy = sum(map(mul, fs, ys))
+    sf2 = sum(map(mul, fs, fs))
     denom = n * sf2 - sf * sf
     slope = (n * sfy - sf * sy) / denom
     intercept = (sy - slope * sf) / n
@@ -122,21 +121,40 @@ def fit(ds: CalibrationDataset) -> ModelCoefficients:
             f"need at least 2 distinct frequencies, grid has {sorted(distinct)}"
         )
 
-    shared: dict[Rail, list[tuple[float, float]]] = {
-        Rail.CLOCK: [],
-        Rail.SIGNAL: [],
-        Rail.BRAM: [],
-    }
+    # One pass over the cells, standard-major and channel-minor: the order in
+    # which the shared rails pool their points. The frequencies and each
+    # rail's watts go into lists that the fits add with sum(), so every sum
+    # adds the same floats in the same order, with the same rounding, as a
+    # sum() over that rail's pooled series (sum() compensates from Python
+    # 3.12 on, which a `+=` loop would not).
+    cells, channels = ds.cells, ds.channels()
+    pooled_f: list[float] = []
+    clock_y: list[float] = []
+    signal_y: list[float] = []
+    bram_y: list[float] = []
+    per_std: dict[IoStandard, tuple[list[float], list[float], list[float]]] = {}
     for std in ds.standards():
-        for rail in shared:
-            shared[rail].extend(_series(ds, rail, std))
+        fs, io_y, leakage_y = per_std[std] = ([], [], [])
+        for ch in channels:
+            cell = cells.get((std, ch))
+            if cell is None:
+                continue
+            fs.append(ch.carrier_ghz)
+            clock_y.append(cell.clock_w)
+            signal_y.append(cell.signal_w)
+            bram_y.append(cell.bram_w)
+            io_y.append(cell.io_w)
+            leakage_y.append(cell.leakage_w)
+        pooled_f += fs
 
+    # Built in a fixed order, clock, signal, bram, io then leakage, so the
+    # first fit to raise DegenerateFit is the same for every grid.
     coeffs = ModelCoefficients(
-        clock=_through_origin(shared[Rail.CLOCK]),
-        signal=_affine(shared[Rail.SIGNAL]),
-        bram=_through_origin(shared[Rail.BRAM]),
-        io={std: _through_origin(_series(ds, Rail.IO, std)) for std in ds.standards()},
-        leakage={std: _affine(_series(ds, Rail.LEAKAGE, std)) for std in ds.standards()},
+        clock=_through_origin(pooled_f, clock_y),
+        signal=_affine(pooled_f, signal_y),
+        bram=_through_origin(pooled_f, bram_y),
+        io={std: _through_origin(fs, io_y) for std, (fs, io_y, _) in per_std.items()},
+        leakage={std: _affine(fs, leakage_y) for std, (fs, _, leakage_y) in per_std.items()},
     )
     object.__setattr__(ds, "_fit", coeffs)
     return coeffs
@@ -150,24 +168,27 @@ def predict(coeffs: ModelCoefficients, std: IoStandard, f_ghz: float) -> PowerBr
     """
     if not 0 < f_ghz < math.inf:
         raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
-    if std not in coeffs.io:
+    io_fit = coeffs.io.get(std)
+    if io_fit is None:
         raise MissingCell(f"no cells for {std.name}; cannot predict it")
-    clock = max(0.0, coeffs.clock.at(f_ghz))
-    signal = max(0.0, coeffs.signal.at(f_ghz))
-    bram = max(0.0, coeffs.bram.at(f_ghz))
-    io = max(0.0, coeffs.io[std].at(f_ghz))
-    leakage = max(0.0, coeffs.leakage[std].at(f_ghz))
+    # RailFit.at, written out for each rail: this runs on every off-grid call.
+    clock_fit, signal_fit, bram_fit = coeffs.clock, coeffs.signal, coeffs.bram
+    leakage_fit = coeffs.leakage[std]
+    clock = clock_fit.slope_w_per_ghz * f_ghz + clock_fit.intercept_w
+    signal = signal_fit.slope_w_per_ghz * f_ghz + signal_fit.intercept_w
+    bram = bram_fit.slope_w_per_ghz * f_ghz + bram_fit.intercept_w
+    io = io_fit.slope_w_per_ghz * f_ghz + io_fit.intercept_w
+    leakage = leakage_fit.slope_w_per_ghz * f_ghz + leakage_fit.intercept_w
+    # Clamp at zero: `x if x > 0.0 else 0.0` is max(0.0, x), also for -0.0 and NaN.
+    clock = clock if clock > 0.0 else 0.0
+    signal = signal if signal > 0.0 else 0.0
+    bram = bram if bram > 0.0 else 0.0
+    io = io if io > 0.0 else 0.0
+    leakage = leakage if leakage > 0.0 else 0.0
     total = clock + signal + bram + io + leakage
     if not total < math.inf:
         raise NonPositiveFrequency(f"frequency {f_ghz} GHz overflows the fitted laws")
-    return PowerBreakdown(
-        clock_w=clock,
-        signal_w=signal,
-        bram_w=bram,
-        io_w=io,
-        leakage_w=leakage,
-        total_w=total,
-    )
+    return PowerBreakdown(clock, signal, bram, io, leakage, total)
 
 
 def max_relative_residuals(
@@ -211,10 +232,8 @@ def power_at(ds: CalibrationDataset, std: IoStandard, f_ghz: float) -> PowerBrea
     """
     if not 0 < f_ghz < math.inf:
         raise NonPositiveFrequency(f"frequency must be finite and > 0 GHz, got {f_ghz}")
-    try:
-        cell = ds.cells.get((std, WlanChannel.from_ghz(f_ghz)))
-    except ValueError:
-        cell = None
+    # Off the grid the channel is None, which keys no cell.
+    cell = ds.cells.get((std, channel_at(f_ghz)))
     if cell is not None:
         return cell
     coeffs = ds._fit

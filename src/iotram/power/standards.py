@@ -52,10 +52,10 @@ class WlanChannel(enum.Enum):
 
     @classmethod
     def from_ghz(cls, ghz: float) -> "WlanChannel":
-        for ch in CHANNELS:
-            if abs(ch.carrier_ghz - ghz) < 1e-9:
-                return ch
-        raise ValueError(f"no WLAN channel at {ghz} GHz")
+        ch = channel_at(ghz)
+        if ch is None:
+            raise ValueError(f"no WLAN channel at {ghz} GHz")
+        return ch
 
     @classmethod
     def parse(cls, text: str) -> "WlanChannel":
@@ -75,6 +75,21 @@ class WlanChannel(enum.Enum):
 CHANNELS: tuple[WlanChannel, ...] = tuple(
     sorted(WlanChannel, key=lambda ch: ch.carrier_ghz)
 )
+
+_CARRIERS: tuple[tuple[float, WlanChannel], ...] = tuple((ch.carrier_ghz, ch) for ch in CHANNELS)
+
+
+def channel_at(ghz: float) -> WlanChannel | None:
+    """The channel whose carrier is within 1e-9 GHz of `ghz`, or None.
+
+    The one owner of the match tolerance; it raises nothing, so callers for
+    which an off-grid frequency is no error pay for no exception.
+    """
+    for carrier, ch in _CARRIERS:
+        if abs(carrier - ghz) < 1e-9:
+            return ch
+    return None
+
 
 #: Standards in ascending supply-voltage order.
 STANDARDS: tuple[IoStandard, ...] = tuple(

@@ -1,6 +1,9 @@
 """Golden checks of the builtin calibration grid and the file format."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -109,6 +112,28 @@ def test_breakdown_names_first_bad_field(row, message):
 def test_breakdown_accepts_zero_and_large():
     cell = PowerBreakdown(0.0, -0.0, 5e-324, 1.7e308, 0, 1)
     assert cell.rail(Rail.SIGNAL) == 0.0 and cell.rail(Rail.IO) == 1.7e308
+
+
+def test_breakdown_is_a_frozen_dataclass():
+    cell = PowerBreakdown(clock_w=0.1, signal_w=0.2, bram_w=0.3, io_w=0.4, leakage_w=0.5, total_w=1.5)
+    assert cell == PowerBreakdown(0.1, 0.2, 0.3, 0.4, 0.5, 1.5)
+    assert hash(cell) == hash(PowerBreakdown(0.1, 0.2, 0.3, 0.4, 0.5, 1.5))
+    assert repr(cell) == (
+        "PowerBreakdown(clock_w=0.1, signal_w=0.2, bram_w=0.3, io_w=0.4, leakage_w=0.5, total_w=1.5)"
+    )
+    assert dataclasses.asdict(cell) == {
+        "clock_w": 0.1, "signal_w": 0.2, "bram_w": 0.3, "io_w": 0.4, "leakage_w": 0.5, "total_w": 1.5,
+    }
+    assert dataclasses.replace(cell, io_w=0.0).io_w == 0.0
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(cell, io_w=-1)
+    assert str(err.value) == "io_w must be >= 0, got -1"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cell.io_w = 0.0
+    with pytest.raises(TypeError):
+        PowerBreakdown(0.1, 0.2, 0.3, 0.4, 0.5)
+    for clone in (pickle.loads(pickle.dumps(cell)), copy.deepcopy(cell), copy.copy(cell)):
+        assert clone == cell and clone is not cell
 
 
 def test_validate_builtin_is_clean(ds):

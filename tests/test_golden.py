@@ -195,6 +195,24 @@ FILES = {
         "LVCMOS12,0.9,0.061,0.033,1.148,0.000,1.321,2.563\n"
         "LVCMOS12,2.4,0.161,0.091,3.062,0.000,1.374,4.689\n"
     ),
+    # The benchmark's partial grid in small: LVCMOS25 at one channel only, so
+    # its leakage fit is degenerate while every other series fits.
+    "single.csv": (
+        f"{CALIBRATION_HEADER}\n"
+        "LVCMOS12,0.9,0.061,0.033,1.148,0.060,1.321,2.624\n"
+        "LVCMOS12,5.9,0.403,0.226,7.528,0.393,1.515,10.067\n"
+        "LVCMOS25,2.4,0.161,0.091,3.062,0.457,1.383,5.155\n"
+    ),
+    # Watts that overflow two fits: LVCMOS12's leakage (affine) and
+    # LVCMOS25's io (through-origin). The io fits are made before the leakage
+    # fits, so the io overflow is the one reported.
+    "overflow.csv": (
+        f"{CALIBRATION_HEADER}\n"
+        "LVCMOS12,0.9,0.061,0.033,1.148,0.060,1.321,2.624\n"
+        "LVCMOS12,2.4,0.161,0.091,3.062,0.160,1.7e308,4.849\n"
+        "LVCMOS25,0.9,0.061,0.033,1.148,0.171,1.325,2.739\n"
+        "LVCMOS25,5.9,0.403,0.226,7.528,1.7e308,1.539,10.822\n"
+    ),
     "ops.trace": "# demo\nW 0 DEADBEEF\nR 0\nR 999\n  w 1 ff   # inline\n\nr 1\nR 2\n",
     "wide.trace": "".join(
         f"W {a} {a * 0x01010101:08X}\nR {a}\n" for a in range(12, 20)
@@ -246,6 +264,10 @@ CLI_CASES = [
     ["fit", "--input", _T + "one.csv"],
     ["fit", "--input", _T + "missing.csv"],
     ["fit", "--input", _T + "zeroio.csv"],
+    ["fit", "--input", _T + "single.csv"],
+    ["fit", "--input", _T + "single.csv", "--format", "json"],
+    ["fit", "--input", _T + "overflow.csv"],
+    ["fit", "--input", _T + "overflow.csv", "--format", "json"],
     ["predict", "--standard", "LVCMOS12", "--freq-ghz", "2.4"],
     ["predict", "--standard", "LVCMOS25", "--freq-ghz", "4.2", "--format", "json"],
     ["predict", "--standard", "lvcmos18", "--freq-ghz", "1e-06"],
@@ -254,6 +276,8 @@ CLI_CASES = [
     ["predict", "--standard", "LVCMOS12", "--freq-ghz", "2.4", "--input", _T + "one.csv"],
     ["predict", "--standard", "LVCMOS15", "--freq-ghz", "3.0", "--input", _T + "two.csv"],
     ["predict", "--standard", "LVCMOS25", "--freq-ghz", "1.7e308"],
+    ["predict", "--standard", "LVCMOS12", "--freq-ghz", "3.0", "--input", _T + "single.csv", "--format", "json"],
+    ["predict", "--standard", "LVCMOS12", "--freq-ghz", "3.0", "--input", _T + "overflow.csv", "--format", "json"],
     ["validate"],
     ["validate", "--input", _T + "one.csv"],
     ["validate", "--input", _T + "broken.csv"],

@@ -231,6 +231,15 @@ def test_power_at_off_grid_predicts(ds, coeffs):
     )
 
 
+def test_power_at_returns_the_cell_within_the_channel_tolerance(ds, coeffs):
+    cell = ds.lookup(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
+    assert power_at(ds, IoStandard.LVCMOS12, 2.4 + 5e-10) is cell
+    assert power_at(ds, IoStandard.LVCMOS12, 2.4 - 5e-10) is cell
+    assert power_at(ds, IoStandard.LVCMOS12, 2.4 + 1e-8) == predict(
+        coeffs, IoStandard.LVCMOS12, 2.4 + 1e-8
+    )
+
+
 @pytest.fixture
 def fit_calls(monkeypatch):
     """The grids passed to `iotram.power.model.fit` from here on, in order.

@@ -4,9 +4,10 @@ Every command line gives a documented exit code with one `iotram:` (or
 argparse) line on stderr and never a traceback; every calibration text the
 reader accepts either fits with finite coefficients, and then prices every
 off-grid frequency as that fit predicts, or raises one of the fit's
-documented errors. Example counts are fixed, and the profile in conftest.py
-derandomizes every property test and lifts its deadline, so the run time is
-bounded and nothing depends on timing.
+documented errors. The fit is also held to a reference written here, the
+pooled series summed with `sum()`, to the bit. Example counts are fixed, and
+the profile in conftest.py derandomizes every property test and lifts its
+deadline, so the run time is bounded and nothing depends on timing.
 """
 
 import math
@@ -19,8 +20,11 @@ from hypothesis import strategies as st
 from iotram.power import (
     CALIBRATION_HEADER,
     DegenerateFit,
+    FitKind,
     MissingCell,
     NonPositiveFrequency,
+    Rail,
+    RailFit,
     fit,
     power_at,
     predict,
@@ -120,12 +124,7 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("sub", SUBCOMMANDS)
-@settings(max_examples=50)
-@given(data=st.data(), grid=calibration_texts())
-def test_every_command_line_exits_with_a_documented_code(workdir, sub, data, grid):
-    argv = data.draw(command_lines(sub), label="argv")
-    (workdir / "grid.csv").write_text(grid, encoding="utf-8")
+def _check_documented_exit(workdir, argv: list[str]) -> None:
     code, out, err = run_cli([arg.replace("{dir}", str(workdir)) for arg in argv])
     assert code in (0, 2, 3, 4), err
     assert "Traceback" not in err
@@ -136,6 +135,22 @@ def test_every_command_line_exits_with_a_documented_code(workdir, sub, data, gri
         lines = err.splitlines()
         assert [ln for ln in lines if ln.startswith("iotram")] == lines[-1:], err
         assert re.match(r"iotram(: | [\w-]+: error: )", lines[-1]), err
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+@settings(max_examples=50)
+@given(data=st.data(), grid=calibration_texts())
+def test_every_command_line_exits_with_a_documented_code(workdir, sub, data, grid):
+    argv = data.draw(command_lines(sub), label="argv")
+    (workdir / "grid.csv").write_text(grid, encoding="utf-8")
+    _check_documented_exit(workdir, argv)
+
+
+# The 50 drawn ram-run command lines never reach these depths: the deepest
+# RAM that 32-bit addresses reach, and one word more.
+@pytest.mark.parametrize("depth", [str(2**32), str(2**32 + 1)])
+def test_ram_run_at_the_edge_of_the_address_space_exits_with_a_documented_code(workdir, depth):
+    _check_documented_exit(workdir, ["ram-run", "--trace={dir}/ops.trace", f"--depth={depth}"])
 
 
 @settings(max_examples=100)
@@ -174,3 +189,73 @@ def _outcome(fn, *args):
         return fn(*args)
     except NonPositiveFrequency:
         return NonPositiveFrequency
+
+
+def _reference_fit(ds) -> dict[str, RailFit]:
+    """The fit as first written: each series built from the grid on its own,
+    the shared rails pooled standard by standard, and every sum a `sum()`. A
+    fit that adds the same floats in another order differs from it in the
+    last bits."""
+    distinct = {ch.carrier_ghz for _, ch in ds.cells}
+    if len(distinct) < 2:
+        raise DegenerateFit(f"need at least 2 distinct frequencies, grid has {sorted(distinct)}")
+
+    def series(rail, std):
+        return [(ch.carrier_ghz, getattr(ds.cells[(std, ch)], rail.field))
+                for ch in ds.channels() if (std, ch) in ds.cells]
+
+    def through_origin(points):
+        sfy = sum(f * y for f, y in points)
+        sf2 = sum(f * f for f, _ in points)
+        return RailFit(sfy / sf2, 0.0, FitKind.THROUGH_ORIGIN)
+
+    def affine(points):
+        distinct = {f for f, _ in points}
+        if len(distinct) < 2:
+            raise DegenerateFit(f"affine fit needs 2 distinct frequencies, got {sorted(distinct)}")
+        n = len(points)
+        sf = sum(f for f, _ in points)
+        sy = sum(y for _, y in points)
+        sfy = sum(f * y for f, y in points)
+        sf2 = sum(f * f for f, _ in points)
+        slope = (n * sfy - sf * sy) / (n * sf2 - sf * sf)
+        return RailFit(slope, (sy - slope * sf) / n, FitKind.AFFINE)
+
+    pooled = lambda rail: [p for std in ds.standards() for p in series(rail, std)]
+    fits = {
+        "clock": through_origin(pooled(Rail.CLOCK)),
+        "signal": affine(pooled(Rail.SIGNAL)),
+        "bram": through_origin(pooled(Rail.BRAM)),
+    }
+    for std in ds.standards():
+        fits[f"io[{std.name}]"] = through_origin(series(Rail.IO, std))
+    for std in ds.standards():
+        fits[f"leakage[{std.name}]"] = affine(series(Rail.LEAKAGE, std))
+    return fits
+
+
+def _bits(rail_fit: RailFit) -> tuple:
+    return rail_fit.slope_w_per_ghz.hex(), rail_fit.intercept_w.hex(), rail_fit.fit_kind
+
+
+@settings(max_examples=300)
+@given(text=calibration_texts())
+def test_fit_matches_the_pooled_series_reference_to_the_bit(text):
+    try:
+        ds = read_calibration(text)
+    except ValueError:
+        return
+    try:
+        want = _reference_fit(ds)
+    except DegenerateFit as exc:
+        with pytest.raises(DegenerateFit) as err:
+            fit(ds)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    coeffs = fit(ds)
+    got = {"clock": coeffs.clock, "signal": coeffs.signal, "bram": coeffs.bram}
+    got.update({f"io[{std.name}]": rf for std, rf in coeffs.io.items()})
+    got.update({f"leakage[{std.name}]": rf for std, rf in coeffs.leakage.items()})
+    assert {name: _bits(rf) for name, rf in got.items()} == {
+        name: _bits(rf) for name, rf in want.items()
+    }

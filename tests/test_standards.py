@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from iotram.power import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
+from iotram.power.standards import channel_at
 
 
 def test_supply_voltages():
@@ -70,6 +71,14 @@ def test_channel_from_ghz():
         with pytest.raises(ValueError) as err:
             WlanChannel.from_ghz(ghz)
         assert str(err.value) == f"no WLAN channel at {ghz} GHz"
+
+
+def test_channel_at_is_from_ghz_without_the_error():
+    for ch in CHANNELS:
+        for ghz in (ch.carrier_ghz, ch.carrier_ghz + 5e-10, ch.carrier_ghz - 5e-10):
+            assert channel_at(ghz) is ch is WlanChannel.from_ghz(ghz)
+    for ghz in (7.0, 2.4 + 1e-8, 2.4 - 1e-8, 0.0, -2.4, math.nan, math.inf, -math.inf):
+        assert channel_at(ghz) is None
 
 
 @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
