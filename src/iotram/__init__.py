@@ -9,6 +9,14 @@ together.
 
 __version__ = "0.1.0"
 
-from . import net, power, ram
-
 __all__ = ["net", "power", "ram", "__version__"]
+
+
+def __getattr__(name: str):
+    # Each layer is imported on first use, so that `import iotram.power`
+    # loads neither the RAM nor the socket service.
+    if name in ("net", "power", "ram"):
+        import importlib
+
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,14 +16,7 @@ import math
 import os
 import sys
 
-from .net.service import (
-    BIND_ENV_VAR,
-    BadEndpoint,
-    BindFailure,
-    DEFAULT_BIND,
-    RamService,
-    make_ledger,
-)
+from .net.endpoint import BIND_ENV_VAR, DEFAULT_BIND, BadEndpoint, BindFailure
 from .power.dataset import (
     CalibrationDataset,
     MissingCell,
@@ -329,6 +322,9 @@ def cmd_ram_run(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    # Only this subcommand needs the socket code.
+    from .net.service import RamService, make_ledger
+
     standards = _parse_standards(args.standard)
     channels = _parse_channels(args.channel)
     if len(standards) != 1 or len(channels) != 1:

@@ -17,6 +17,8 @@ from ..power.dataset import CalibrationDataset, builtin_dataset
 from ..power.model import energy_per_cycle, power_at
 from ..power.standards import IoStandard, WlanChannel
 from ..ram.core import IotRam, Status
+# The endpoint names stay importable from here as well, for existing callers.
+from .endpoint import BIND_ENV_VAR, DEFAULT_BIND, BadEndpoint, BindFailure, parse_endpoint
 from .frames import (
     MalformedFrame,
     Opcode,
@@ -25,23 +27,12 @@ from .frames import (
     salvage_seq,
 )
 
-DEFAULT_BIND = "127.0.0.1:18770"
-BIND_ENV_VAR = "IOTRAM_BIND"
-
 
 # handle_datagram names the members through these aliases, as ram.core does:
 # each `Opcode.X` or `Status.X` lookup costs about 0.17 µs on CPython 3.11,
 # against about 0.015 µs for a module name.
 _READ, _WRITE, _STATUS = Opcode.READ, Opcode.WRITE, Opcode.STATUS
 _OK, _BAD_OPCODE, _MALFORMED = Status.OK, Status.BAD_OPCODE, Status.MALFORMED
-
-
-class BindFailure(OSError):
-    """The service endpoint could not be bound."""
-
-
-class BadEndpoint(ValueError):
-    """An endpoint that is not "[host]:port" with a port in 0-65535."""
 
 
 class EnergyLedger:
@@ -101,26 +92,6 @@ def handle_datagram(datagram: bytes, ram: IotRam, ledger: EnergyLedger) -> bytes
 
     ledger.record(status, ram.cycle_count - cycles_before)
     return encode_response(status, data, seq)
-
-
-def parse_endpoint(endpoint: str) -> tuple[str, int]:
-    """Split "[host]:port"; bracketed literals for IPv6, empty host binds all."""
-    text = endpoint.strip()
-    if text.startswith("["):
-        host, sep, port = text[1:].partition("]:")
-        if not sep:
-            raise BadEndpoint(f"bad endpoint {endpoint!r} (expected [host]:port)")
-    else:
-        host, sep, port = text.rpartition(":")
-        if not sep:
-            raise BadEndpoint(f"bad endpoint {endpoint!r} (expected host:port)")
-    try:
-        port_num = int(port)
-    except ValueError:
-        raise BadEndpoint(f"bad port in endpoint {endpoint!r}") from None
-    if not 0 <= port_num <= 65535:
-        raise BadEndpoint(f"port out of range in endpoint {endpoint!r}")
-    return host or "0.0.0.0", port_num
 
 
 class RamService:

@@ -358,6 +358,25 @@ def test_serve_honors_bind_env_var(capsys, monkeypatch):
         assert str(port) in err
 
 
+# A host the socket layer cannot encode: an argv or environment byte that is
+# not UTF-8, and a name whose IDNA label is longer than 63 characters.
+@pytest.mark.parametrize("host", [b"\xff", "\u00e9" * 70], ids=["non-utf8-byte", "long-idna-label"])
+@pytest.mark.parametrize("source", ["argv", "env"])
+def test_serve_unencodable_host_is_a_usage_error(host, source):
+    endpoint = host + b":0" if isinstance(host, bytes) else host + ":0"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(iotram.__file__).parents[1])}
+    argv = [sys.executable, "-m", "iotram.cli", "serve"]
+    if source == "argv":
+        argv += ["--bind", endpoint]
+    else:
+        env["IOTRAM_BIND"] = endpoint
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("iotram: bad host in endpoint ")
+    assert proc.stderr.count("\n") == 1
+
+
 class _InterruptedStdout(io.StringIO):
     """Stdout whose first write raises KeyboardInterrupt, as a Ctrl-C would."""
 

@@ -318,6 +318,9 @@ CLI_CASES = [
     ["frobnicate"],
     ["predict", "--standard", "LVCMOS12"],
     ["table", "--format", "xml"],
+    # Help text: `serve --help` names the bind variable and default endpoint.
+    ["--help"],
+    ["serve", "--help"],
 ]
 
 

@@ -1,0 +1,90 @@
+"""What each import loads, and that every public name still resolves.
+
+`import iotram.power` must not load the RAM or the socket service, and
+`import iotram.cli` must leave the socket service to `serve`. The package
+`__init__` modules resolve the rest on first use, so the public names are
+checked in a fresh interpreter, where that first use happens.
+"""
+
+import importlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import iotram
+import iotram.net.service
+
+SERVICE_NAMES = ("EnergyLedger", "RamService", "handle_datagram", "make_ledger")
+ENDPOINT_NAMES = ("BIND_ENV_VAR", "BadEndpoint", "BindFailure", "DEFAULT_BIND", "parse_endpoint")
+
+# Prints, as JSON, the modules that importing argv[1] adds to this
+# interpreter, so that whatever `site` loaded beforehand is left out.
+_NEW_MODULES = """
+import json, sys
+before = set(sys.modules)
+__import__(sys.argv[1])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# Touches every public name in a fresh interpreter, where the lazy lookups
+# of `iotram` and `iotram.net` run for the first time.
+_FRESH_NAMES = """
+import sys
+import iotram
+assert iotram.net.service.RamService is iotram.net.RamService
+namespace = {}
+exec("from iotram import *", namespace)
+for name in ("net", "power", "ram"):
+    assert namespace[name] is sys.modules["iotram." + name], name
+for module in (iotram, iotram.net, iotram.power, iotram.ram):
+    for name in module.__all__:
+        getattr(module, name)
+"""
+
+
+def _child(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(iotram.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "module,forbidden",
+    [
+        ("iotram.power", ("iotram.net", "iotram.ram", "socket")),
+        ("iotram.cli", ("iotram.net.service", "socket")),
+    ],
+)
+def test_import_loads_only_what_it_uses(module, forbidden):
+    proc = _child(_NEW_MODULES, module)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert module in loaded
+    unwanted = [m for m in loaded if m in forbidden or m.startswith(tuple(f + "." for f in forbidden))]
+    assert unwanted == []
+
+
+def test_public_names_resolve_in_a_fresh_interpreter():
+    proc = _child(_FRESH_NAMES)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", SERVICE_NAMES)
+def test_service_names_are_the_service_objects(name):
+    namespace = {}
+    exec(f"from iotram.net import {name}", namespace)
+    assert namespace[name] is getattr(iotram.net.service, name)
+
+
+@pytest.mark.parametrize("name", ENDPOINT_NAMES)
+def test_endpoint_names_are_the_endpoint_objects(name):
+    endpoint = importlib.import_module("iotram.net.endpoint")
+    namespace = {}
+    exec(f"from iotram.net import {name}", namespace)
+    assert namespace[name] is getattr(endpoint, name)
+    assert getattr(iotram.net.service, name) is getattr(endpoint, name)

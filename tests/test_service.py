@@ -149,13 +149,16 @@ def test_ledger_render():
         ("[::1]:9000", ("::1", 9000)),
         (":123", ("0.0.0.0", 123)),
         ("0.0.0.0:0", ("0.0.0.0", 0)),
+        ("\u00e9:0", ("\u00e9", 0)),
     ],
 )
 def test_parse_endpoint(endpoint, expected):
     assert parse_endpoint(endpoint) == expected
 
 
-@pytest.mark.parametrize("endpoint", ["nope", "[::1]", "host:port", "x:70000", "x:-1"])
+@pytest.mark.parametrize(
+    "endpoint", ["nope", "[::1]", "host:port", "x:70000", "x:-1", "\udcff:0", "\u00e9" * 70 + ":0"]
+)
 def test_parse_endpoint_rejects(endpoint):
     with pytest.raises(BadEndpoint):
         parse_endpoint(endpoint)
