@@ -38,7 +38,7 @@ from .power.model import (
 )
 from .power.reductions import ZeroBase, comparison_matrix, reduction, unreachable_claims
 from .power.standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
-from .ram.core import KEY_MASK, InvalidConfig, IotRam, RamConfig
+from .ram.core import KEY_MASK, EnergyLedger, InvalidConfig, IotRam, RamConfig, Status
 from .ram.trace import TraceError, parse_trace, render_outcome, run_trace
 
 EXIT_OK = 0
@@ -280,7 +280,8 @@ def cmd_ram_run(args) -> int:
         raise CliError(EXIT_USAGE, "--standard and --channel must be given together")
 
     # Pricing is checked before the trace runs, so that its errors come
-    # with an empty stdout.
+    # with an empty stdout. An unpriced run prints no energy line.
+    per_cycle = 0.0
     if args.standard is not None:
         standards = _parse_standards(args.standard)
         channels = _parse_channels(args.channel)
@@ -300,21 +301,29 @@ def cmd_ram_run(args) -> int:
     ops = parse_trace(text)
     ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
 
-    results, summary = run_trace(ram, ops, key)
+    ledger = EnergyLedger(per_cycle)
+    results = run_trace(ram, ops, key, ledger)
+    # The ledger counts OK accesses; the output loop splits them by op.
+    ok, writes = Status.OK, 0
     out = sys.stdout
     for start in range(0, len(results), _LINES_PER_WRITE):
         lines = []
         for op, status, data in results[start:start + _LINES_PER_WRITE]:
-            mnemonic = f"W {op.addr} {op.data:08X}" if op.is_write else f"R {op.addr}"
+            if op.is_write:
+                mnemonic = f"W {op.addr} {op.data:08X}"
+                writes += status is ok
+            else:
+                mnemonic = f"R {op.addr}"
             lines.append(f"{op.lineno:>5}  {mnemonic:<24} -> {render_outcome(op, status, data)}\n")
         out.write("".join(lines))
+    count = ledger.ops_by_status.get
     print(
-        f"cycles={summary.cycles} writes={summary.writes} reads={summary.reads} "
-        f"auth_fails={summary.auth_fails} range_errors={summary.range_errors}"
+        f"cycles={ledger.cycles} writes={writes} reads={count(ok, 0) - writes} "
+        f"auth_fails={count(Status.AUTH_FAIL, 0)} range_errors={count(Status.ADDR_RANGE, 0)}"
     )
     if args.standard is not None:
         print(
-            f"energy: {summary.cycles * per_cycle:.6e} J "
+            f"energy: {ledger.energy_j:.6e} J "
             f"({per_cycle:.6e} J/cycle at {standards[0].name}, "
             f"{channels[0].carrier_ghz} GHz)"
         )

@@ -2,7 +2,8 @@
 
 `frames` (the datagram layout) and `endpoint` (the "[host]:port" syntax and
 its errors) load with this package; `service`, which holds the socket loop
-and the energy ledger, loads when one of its names is first used.
+and re-exports the RAM's energy ledger, loads when one of its names is first
+used.
 """
 
 from .frames import (

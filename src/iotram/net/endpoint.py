@@ -22,9 +22,9 @@ class BadEndpoint(ValueError):
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
     """Split "[host]:port"; bracketed literals for IPv6, empty host binds all.
 
-    A non-ASCII host must encode as IDNA, as the socket layer encodes it: a
-    stray surrogate (an argv byte that is not UTF-8) or an over-long label
-    would otherwise fail there with a TypeError.
+    A host must hold no NUL and, if not ASCII, encode as IDNA, as the socket
+    layer encodes it: a NUL, a stray surrogate (an argv byte that is not
+    UTF-8) or an over-long label would otherwise fail there with a TypeError.
     """
     text = endpoint.strip()
     if text.startswith("["):
@@ -41,6 +41,8 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
         raise BadEndpoint(f"bad port in endpoint {endpoint!r}") from None
     if not 0 <= port_num <= 65535:
         raise BadEndpoint(f"port out of range in endpoint {endpoint!r}")
+    if "\x00" in host:
+        raise BadEndpoint(f"bad host in endpoint {endpoint!r}")
     if not host.isascii():
         try:
             host.encode("idna")

@@ -16,7 +16,7 @@ import threading
 from ..power.dataset import CalibrationDataset, builtin_dataset
 from ..power.model import energy_per_cycle, power_at
 from ..power.standards import IoStandard, WlanChannel
-from ..ram.core import IotRam, Status
+from ..ram.core import EnergyLedger, IotRam, Status
 # The endpoint names stay importable from here as well, for existing callers.
 from .endpoint import BIND_ENV_VAR, DEFAULT_BIND, BadEndpoint, BindFailure, parse_endpoint
 from .frames import (
@@ -33,34 +33,6 @@ from .frames import (
 # against about 0.015 µs for a module name.
 _READ, _WRITE, _STATUS = Opcode.READ, Opcode.WRITE, Opcode.STATUS
 _OK, _BAD_OPCODE, _MALFORMED = Status.OK, Status.BAD_OPCODE, Status.MALFORMED
-
-
-class EnergyLedger:
-    """Counts handled frames and prices RAM cycles in joules."""
-
-    def __init__(self, per_cycle_j: float):
-        self.per_cycle_j = per_cycle_j
-        self.ops_total = 0
-        self.ops_by_status: dict[Status, int] = {}
-        self.cycles = 0
-
-    @property
-    def energy_j(self) -> float:
-        return self.cycles * self.per_cycle_j
-
-    def record(self, status: Status, cycle_delta: int) -> None:
-        self.ops_total += 1
-        self.ops_by_status[status] = self.ops_by_status.get(status, 0) + 1
-        self.cycles += cycle_delta
-
-    def render(self) -> str:
-        by_status = ", ".join(
-            f"{status.name}={count}" for status, count in sorted(self.ops_by_status.items())
-        )
-        return (
-            f"ops_total={self.ops_total} [{by_status}] "
-            f"cycles={self.cycles} energy={self.energy_j:.6e} J"
-        )
 
 
 def make_ledger(

@@ -137,10 +137,6 @@ class CalibrationDataset:
         object.__setattr__(self, "_standards", tuple(s for s in STANDARDS if s in stds))
         object.__setattr__(self, "_channels", tuple(c for c in CHANNELS if c in chs))
 
-    @property
-    def complete(self) -> bool:
-        return all((s, c) in self.cells for s in STANDARDS for c in CHANNELS)
-
     def channels(self) -> tuple[WlanChannel, ...]:
         return self._channels
 
@@ -285,15 +281,22 @@ def write_calibration(ds: CalibrationDataset) -> str:
 
 
 def read_calibration(text: str, provenance: str = "user") -> CalibrationDataset:
-    """Parse the flat calibration format. Raises ValueError on malformed content."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    """Parse the flat calibration format. Raises ValueError on malformed
+    content, naming its line as counted with comment and blank lines."""
+    lines = enumerate(text.splitlines(), start=1)
+    for _, raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if line.replace(" ", "") != CALIBRATION_HEADER:
+                raise ValueError(f"bad calibration header: {line!r}")
+            break
+    else:
         raise ValueError("empty calibration file")
-    if lines[0].replace(" ", "") != CALIBRATION_HEADER:
-        raise ValueError(f"bad calibration header: {lines[0]!r}")
     cells: dict[tuple[IoStandard, WlanChannel], PowerBreakdown] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")

@@ -4,8 +4,9 @@ Word-addressable 32-bit memory whose read and write ports only act when the
 caller presents the device's configured 128-bit key; a wrong key denies the
 access without touching memory. Every submitted operation, accepted or
 denied, costs exactly one clock cycle, and the cycle counter feeds energy
-accounting. The read port is registered: last_dout holds its previous value
-across denied accesses.
+accounting: `EnergyLedger` tallies accesses by status and prices the cycles.
+The read port is registered: last_dout holds its previous value across
+denied accesses.
 
 An instance is owned by one execution context at a time; callers that share
 one across threads must serialize operations themselves.
@@ -25,22 +26,15 @@ MAX_DEPTH_WORDS = 1 << 32
 
 
 class InvalidConfig(ValueError):
-    """Rejected RAM geometry (depth outside 1..2**32, inconsistent address
-    width, bad key)."""
-
-
-def _addr_bits_for(depth_words: int) -> int:
-    return max(1, (depth_words - 1).bit_length())
+    """Rejected RAM configuration (depth outside 1..2**32, bad key)."""
 
 
 @dataclasses.dataclass(frozen=True)
 class RamConfig:
-    """Geometry plus the gate key. data_bits is fixed at 32."""
+    """Depth in 32-bit words plus the gate key."""
 
     depth_words: int = 256
     device_ipv6: int = 0
-    addr_bits: int | None = None
-    data_bits: int = WORD_BITS
 
     def __post_init__(self):
         if self.depth_words < 1:
@@ -49,18 +43,8 @@ class RamConfig:
             raise InvalidConfig(
                 f"depth_words must be <= 2**32 (32-bit addresses), got {self.depth_words}"
             )
-        if self.data_bits != WORD_BITS:
-            raise InvalidConfig(f"data_bits is fixed at {WORD_BITS}, got {self.data_bits}")
         if not 0 <= self.device_ipv6 <= KEY_MASK:
             raise InvalidConfig("device_ipv6 must fit in 128 bits")
-        expected = _addr_bits_for(self.depth_words)
-        if self.addr_bits is None:
-            object.__setattr__(self, "addr_bits", expected)
-        elif self.addr_bits != expected:
-            raise InvalidConfig(
-                f"addr_bits {self.addr_bits} inconsistent with depth {self.depth_words} "
-                f"(expected {expected})"
-            )
 
 
 class Status(enum.IntEnum):
@@ -77,6 +61,35 @@ class Status(enum.IntEnum):
 # 3.11, EnumType defines __getattr__, which makes each `Status.X` lookup cost
 # about 0.15 µs, against 0.01 µs for a module name.
 _OK, _AUTH_FAIL, _ADDR_RANGE = Status.OK, Status.AUTH_FAIL, Status.ADDR_RANGE
+
+
+class EnergyLedger:
+    """Counts accesses by status and prices RAM cycles in joules: each op of
+    `run_trace`, or each frame the datagram service handles."""
+
+    def __init__(self, per_cycle_j: float):
+        self.per_cycle_j = per_cycle_j
+        self.ops_total = 0
+        self.ops_by_status: dict[Status, int] = {}
+        self.cycles = 0
+
+    @property
+    def energy_j(self) -> float:
+        return self.cycles * self.per_cycle_j
+
+    def record(self, status: Status, cycle_delta: int) -> None:
+        self.ops_total += 1
+        self.ops_by_status[status] = self.ops_by_status.get(status, 0) + 1
+        self.cycles += cycle_delta
+
+    def render(self) -> str:
+        by_status = ", ".join(
+            f"{status.name}={count}" for status, count in sorted(self.ops_by_status.items())
+        )
+        return (
+            f"ops_total={self.ops_total} [{by_status}] "
+            f"cycles={self.cycles} energy={self.energy_j:.6e} J"
+        )
 
 
 class IotRam:

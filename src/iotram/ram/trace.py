@@ -6,10 +6,9 @@ decimal, data in hex; `#` starts a comment, blank lines are skipped.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
-from .core import WORD_MASK, IotRam, Status
+from .core import WORD_MASK, EnergyLedger, IotRam, Status
 
 
 # Aliases for the per-op code; see the note in `core`.
@@ -29,15 +28,6 @@ class TraceOp(typing.NamedTuple):
     is_write: bool
     addr: int
     data: int | None = None  # writes only
-
-
-@dataclasses.dataclass
-class TraceSummary:
-    cycles: int = 0
-    writes: int = 0
-    reads: int = 0
-    auth_fails: int = 0
-    range_errors: int = 0
 
 
 def parse_trace(text: str) -> list[TraceOp]:
@@ -80,28 +70,20 @@ def _parse_addr(lineno: int, text: str) -> int:
 
 
 def run_trace(
-    ram: IotRam, ops: list[TraceOp], key: int
-) -> tuple[list[tuple[TraceOp, Status, int]], TraceSummary]:
-    """Execute parsed ops in order; returns (op, status, data) per op and tallies."""
+    ram: IotRam, ops: list[TraceOp], key: int, ledger: EnergyLedger
+) -> list[tuple[TraceOp, Status, int]]:
+    """Execute parsed ops in order, recording each in the ledger as one
+    cycle; returns (op, status, data) per op."""
     read, write = ram.read, ram.write
+    record = ledger.record
     results = []
     append = results.append
-    writes = reads = auth_fails = range_errors = 0
     for op in ops:
         _, is_write, addr, word = op
         status, data = write(key, addr, word) if is_write else read(key, addr)
         append((op, status, data))
-        if status is _AUTH_FAIL:
-            auth_fails += 1
-        elif status is _ADDR_RANGE:
-            range_errors += 1
-        elif is_write:
-            writes += 1
-        else:
-            reads += 1
-    summary = TraceSummary(cycles=len(ops), writes=writes, reads=reads,
-                           auth_fails=auth_fails, range_errors=range_errors)
-    return results, summary
+        record(status, 1)
+    return results
 
 
 def render_outcome(op: TraceOp, status: Status, data: int) -> str:

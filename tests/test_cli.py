@@ -268,6 +268,26 @@ def test_ram_run_energy_line(capsys, tmp_path):
     assert "2.020417e-09 J/cycle" in out
 
 
+def test_ram_run_counts_only_ok_ops_as_writes_and_reads(capsys, tmp_path):
+    trace = tmp_path / "ops.trace"
+    trace.write_text("W 0 1\nW 999 2\nR 0\nR 999\nR 1\n")
+    code, out, _ = run(capsys, "ram-run", "--trace", str(trace))
+    assert code == EXIT_OK
+    assert "cycles=5 writes=1 reads=2 auth_fails=0 range_errors=2" in out
+
+
+def test_ram_run_prices_denied_cycles_too(capsys, tmp_path):
+    trace = tmp_path / "ops.trace"
+    trace.write_text("".join(f"W {i % 256} 1\n" for i in range(10)))
+    code, out, _ = run(
+        capsys, "ram-run", "--trace", str(trace), "--key", "2001:db8::2",
+        "--standard", "LVCMOS12", "--channel", "2.4",
+    )
+    assert code == EXIT_OK
+    assert "cycles=10 writes=0 reads=0 auth_fails=10 range_errors=0" in out
+    assert "energy: 2.020417e-08 J" in out
+
+
 def test_ram_run_standard_requires_channel(capsys, tmp_path):
     trace = tmp_path / "ops.trace"
     trace.write_text("R 0\n")

@@ -9,6 +9,7 @@ import pytest
 
 from iotram.power import (
     CALIBRATION_HEADER,
+    CHANNELS,
     ROW_SUM_TOLERANCE_W,
     CalibrationDataset,
     DiagnosticCode,
@@ -44,7 +45,7 @@ def test_builtin_matches_golden_transcription(ds, golden_grid):
 
 
 def test_builtin_complete(ds):
-    assert ds.complete
+    assert set(ds.cells) == {(s, c) for s in STANDARDS for c in CHANNELS}
     assert len(ds.cells) == 20
     assert len(ds.channels()) == 5
     assert len(ds.standards()) == 4
@@ -73,7 +74,7 @@ def test_lookup_missing_cell():
     ds = CalibrationDataset(cells={}, provenance="test")
     with pytest.raises(MissingCell):
         ds.lookup(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
-    assert not ds.complete
+    assert not ds.cells
 
 
 @pytest.mark.parametrize(
@@ -190,8 +191,7 @@ def test_calibration_round_trip(ds):
 def test_calibration_partial_grid():
     text = CALIBRATION_HEADER + "\nLVCMOS12,2.4,0.161,0.091,3.062,0.160,1.374,4.849\n"
     ds = read_calibration(text)
-    assert len(ds.cells) == 1
-    assert not ds.complete
+    assert set(ds.cells) == {(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)}
     assert ds.lookup(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4).total_w == 4.849
 
 
@@ -216,6 +216,27 @@ def test_calibration_rejects_malformed(text, fragment):
     with pytest.raises(ValueError) as err:
         read_calibration(text)
     assert fragment in str(err.value)
+
+
+_ROW = "LVCMOS12,2.4,0.161,0.091,3.062,0.160,1.374,4.849"
+
+
+@pytest.mark.parametrize(
+    "text,prefix",
+    [
+        (f"# notes\n{CALIBRATION_HEADER}\nLVCMOS12,2.4,0.1\n", "line 3: expected 8 fields"),
+        (f"\n\n{CALIBRATION_HEADER}\nLVCMOS33,2.4,1,1,1,1,1,5\n", "line 4: "),
+        (f"{CALIBRATION_HEADER}\n# notes\n\nLVCMOS12,7.5,1,1,1,1,1,5\n", "line 4: "),
+        (f"{CALIBRATION_HEADER}\n{_ROW}\n  # notes\nLVCMOS12,0.9,x,1,1,1,1,5\n", "line 4: "),
+        (f"# a\n{CALIBRATION_HEADER}\n{_ROW}\n\n{_ROW}\n", "line 5: duplicate cell"),
+    ],
+    ids=["comment-before-header", "blanks-before-header", "comment-and-blank-before-row",
+         "indented-comment-between-rows", "blank-before-duplicate"],
+)
+def test_calibration_errors_name_the_physical_line(text, prefix):
+    with pytest.raises(ValueError) as err:
+        read_calibration(text)
+    assert str(err.value).startswith(prefix)
 
 
 def test_calibration_skips_comments_and_blanks(ds):

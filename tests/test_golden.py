@@ -178,6 +178,11 @@ FILES = {
     "badfield.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,x,0.091,3.062,0.160,1.374,4.849\n",
     "negative.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,-0.161,0.091,3.062,0.160,1.374,4.849\n",
     "nan.csv": f"{CALIBRATION_HEADER}\nLVCMOS12,2.4,0.161,0.091,3.062,nan,1.374,4.849\n",
+    # Comment and blank lines around the header: the short row is line 5.
+    "commented.csv": (
+        f"# a grid with notes\n\n{CALIBRATION_HEADER}\n# LVCMOS12 only\n"
+        "LVCMOS12,2.4,0.161,0.091,3.062,0.160,1.374\n"
+    ),
     # A partial grid, rows out of order, with gaps in both axes: two row-sum
     # errors, frequency breaks on signal (falling) and clock (equal), and
     # supply-voltage breaks across a missing standard.
@@ -284,6 +289,7 @@ CLI_CASES = [
     ["validate", "--input", _T + "nonmono.csv"],
     ["validate", "--input", _T + "missing.csv"],
     ["validate", "--input", _T + "tangled.csv"],
+    ["validate", "--input", _T + "commented.csv"],
     ["ram-run", "--trace", _T + "ops.trace"],
     ["ram-run", "--trace", _T + "ops.trace", "--key", "2001:db8::2"],
     ["ram-run", "--trace", _T + "wide.trace", "--depth", "16"],

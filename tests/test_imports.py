@@ -1,7 +1,8 @@
 """What each import loads, and that every public name still resolves.
 
 `import iotram.power` must not load the RAM or the socket service, and
-`import iotram.cli` must leave the socket service to `serve`. The package
+`import iotram.cli` must leave the socket service to `serve`: a priced
+`ram-run`, which tallies in the RAM's `EnergyLedger`, does not load it. The package
 `__init__` modules resolve the rest on first use, so the public names are
 checked in a fresh interpreter, where that first use happens.
 """
@@ -27,6 +28,20 @@ _NEW_MODULES = """
 import json, sys
 before = set(sys.modules)
 __import__(sys.argv[1])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+# Runs a priced `ram-run` (trace file in argv[1]) through `iotram.cli.main`,
+# output discarded, and prints as JSON the modules that the run loaded.
+_RAM_RUN_MODULES = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import iotram.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = iotram.cli.main(
+        ["ram-run", "--trace", sys.argv[1], "--standard", "LVCMOS12", "--channel", "2.4"]
+    )
+assert code == 0, code
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
@@ -65,8 +80,22 @@ def test_import_loads_only_what_it_uses(module, forbidden):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert module in loaded
-    unwanted = [m for m in loaded if m in forbidden or m.startswith(tuple(f + "." for f in forbidden))]
-    assert unwanted == []
+    assert _unwanted(loaded, forbidden) == []
+
+
+def test_priced_ram_run_loads_no_socket_code(tmp_path):
+    trace = tmp_path / "ops.trace"
+    trace.write_text("W 0 DEADBEEF\nR 0\nR 999\n", encoding="utf-8")
+    proc = _child(_RAM_RUN_MODULES, str(trace))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "iotram.ram.core" in loaded
+    assert _unwanted(loaded, ("iotram.net.service", "socket")) == []
+
+
+def _unwanted(loaded: list[str], forbidden: tuple[str, ...]) -> list[str]:
+    """The loaded modules that are, or are inside, a forbidden one."""
+    return [m for m in loaded if m in forbidden or m.startswith(tuple(f + "." for f in forbidden))]
 
 
 def test_public_names_resolve_in_a_fresh_interpreter():
@@ -79,6 +108,26 @@ def test_service_names_are_the_service_objects(name):
     namespace = {}
     exec(f"from iotram.net import {name}", namespace)
     assert namespace[name] is getattr(iotram.net.service, name)
+
+
+# The attributes that `bench/launch.py --trace 1` replaces with span wrappers.
+BENCH_WRAPPED = [
+    ("iotram.cli", "power_at"),
+    ("iotram.cli", "energy_per_cycle"),
+    ("iotram.cli", "run_trace"),
+    ("iotram.net.service", "power_at"),
+    ("iotram.net.service", "energy_per_cycle"),
+    ("iotram.net.service", "EnergyLedger.record"),
+]
+
+
+@pytest.mark.parametrize("module,path", BENCH_WRAPPED)
+def test_names_the_bench_tracer_wraps_resolve(module, path):
+    owner = importlib.import_module(module)
+    *outer, name = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    assert callable(getattr(owner, name))
 
 
 @pytest.mark.parametrize("name", ENDPOINT_NAMES)

@@ -1,9 +1,10 @@
 """Property tests of the two untrusted boundaries: calibration text and argv.
 
 Every command line gives a documented exit code with one `iotram:` (or
-argparse) line on stderr and never a traceback; every calibration text the
-reader accepts either fits with finite coefficients, and then prices every
-off-grid frequency as that fit predicts, or raises one of the fit's
+argparse) line on stderr and never a traceback; a calibration text the
+reader rejects is refused at the physical line of its first bad value, and
+every text it accepts either fits with finite coefficients, and then prices
+every off-grid frequency as that fit predicts, or raises one of the fit's
 documented errors. The fit is also held to a reference written here, the
 pooled series summed with `sum()`, to the bit. Example counts are fixed, and
 the profile in conftest.py derandomizes every property test and lifts its
@@ -42,6 +43,8 @@ CARRIERS_GHZ = (0.9, 2.4, 3.6, 5.0, 5.9)
 _WATTS = st.floats(0.0, 20.0)
 _EXTREME = st.sampled_from([0.0, 5e-324, 1e308, 1.7e308])
 _REJECTED = st.sampled_from([-1.0, -math.inf, math.inf, math.nan])
+#: Lines the reader skips, wherever they stand.
+_IGNORED = st.sampled_from(["", "   ", "# note", "  # indented note"])
 
 
 @st.composite
@@ -49,7 +52,8 @@ def calibration_texts(draw) -> str:
     """A grid of some standards at two or more channels, less one cell in some
     grids (so a standard may have a single channel, or the grid a single
     frequency), with up to two extreme values in some, one rail all zero in
-    some and one value the reader rejects in others."""
+    some, one value the reader rejects in others, and comment and blank lines
+    anywhere, the header's place included."""
     stds = draw(st.lists(st.sampled_from(STANDARD_NAMES), min_size=1, max_size=3, unique=True))
     ghzs = draw(st.lists(st.sampled_from(CARRIERS_GHZ), min_size=2, max_size=4, unique=True))
     cells = [(std, ghz) for std in stds for ghz in ghzs]
@@ -66,7 +70,19 @@ def calibration_texts(draw) -> str:
     lines = [CALIBRATION_HEADER]
     for i, (std, ghz) in enumerate(cells):
         lines.append(f"{std},{ghz}," + ",".join(map(repr, values[6 * i:6 * i + 6])))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_IGNORED))
     return "\n".join(lines) + "\n"
+
+
+def _rejected_lines(text: str) -> list[int]:
+    """The 1-based physical lines of the cells holding a value the reader
+    rejects: negative, infinite or NaN."""
+    return [
+        lineno for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.startswith("LVCMOS")
+        and not all(0 <= float(value) < math.inf for value in line.split(",")[2:])
+    ]
 
 
 _STANDARD = st.sampled_from(["LVCMOS12", "LVCMOS15", "LVCMOS18", "lvcmos25", "all", "LVCMOS33", ""])
@@ -156,10 +172,12 @@ def test_ram_run_at_the_edge_of_the_address_space_exits_with_a_documented_code(w
 @settings(max_examples=100)
 @given(text=calibration_texts())
 def test_accepted_grids_fit_finite_or_raise_documented_errors(text):
-    try:
-        ds = read_calibration(text)
-    except ValueError:
+    rejected = _rejected_lines(text)
+    if rejected:
+        with pytest.raises(ValueError, match=rf"^line {rejected[0]}: "):
+            read_calibration(text)
         return
+    ds = read_calibration(text)
     try:
         coeffs = fit(ds)
     except (DegenerateFit, MissingCell):

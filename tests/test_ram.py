@@ -1,5 +1,7 @@
 """Key-gated RAM behavior, including a map-model equivalence property."""
 
+import dataclasses
+import importlib
 import ipaddress
 
 import pytest
@@ -19,25 +21,22 @@ def ram():
 
 def test_default_geometry(ram):
     assert ram.config.depth_words == 256
-    assert ram.config.addr_bits == 8
-    assert ram.config.data_bits == 32
 
 
-@pytest.mark.parametrize(
-    "depth,bits",
-    [(1, 1), (2, 1), (3, 2), (4, 2), (16, 4), (256, 8), (257, 9), (1024, 10)],
-)
-def test_addr_bits_derivation(depth, bits):
-    assert RamConfig(depth_words=depth).addr_bits == bits
+def test_config_holds_only_depth_and_key():
+    assert [field.name for field in dataclasses.fields(RamConfig)] == ["depth_words", "device_ipv6"]
+
+
+@pytest.mark.parametrize("module", ["iotram.ram", "iotram.net", "iotram.net.service"])
+def test_one_energy_ledger_class(module):
+    # Trace runs and the datagram service tally in the same class.
+    core = importlib.import_module("iotram.ram.core")
+    assert getattr(importlib.import_module(module), "EnergyLedger") is core.EnergyLedger
 
 
 def test_config_rejects_bad_geometry():
     with pytest.raises(InvalidConfig):
         RamConfig(depth_words=0)
-    with pytest.raises(InvalidConfig):
-        RamConfig(depth_words=256, addr_bits=7)
-    with pytest.raises(InvalidConfig):
-        RamConfig(data_bits=64)
     with pytest.raises(InvalidConfig):
         RamConfig(device_ipv6=1 << 128)
     with pytest.raises(InvalidConfig):

@@ -157,7 +157,9 @@ def test_parse_endpoint(endpoint, expected):
 
 
 @pytest.mark.parametrize(
-    "endpoint", ["nope", "[::1]", "host:port", "x:70000", "x:-1", "\udcff:0", "\u00e9" * 70 + ":0"]
+    "endpoint",
+    ["nope", "[::1]", "host:port", "x:70000", "x:-1", "\udcff:0", "\u00e9" * 70 + ":0",
+     "a\x00b:0", "[\u00e9\x00]:0"],
 )
 def test_parse_endpoint_rejects(endpoint):
     with pytest.raises(BadEndpoint):

@@ -1,7 +1,6 @@
 """Trace parsing and execution, with a property that checks both against a
 dict model over generated trace texts."""
 
-import dataclasses
 import ipaddress
 
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotram.ram import (
+    EnergyLedger,
     IotRam,
     RamConfig,
     Status,
@@ -63,7 +63,8 @@ def test_parse_rejects(line, fragment):
 def test_run_trace_counts():
     ram = IotRam(RamConfig(device_ipv6=KEY))
     ops = parse_trace("W 0 1\nW 1 2\nR 0\nR 1\nR 300\n")
-    results, summary = run_trace(ram, ops, KEY)
+    ledger = EnergyLedger(2e-9)
+    results = run_trace(ram, ops, KEY, ledger)
     assert [render_outcome(*result) for result in results] == [
         "WriteOk",
         "WriteOk",
@@ -71,18 +72,38 @@ def test_run_trace_counts():
         "ReadOk 00000002",
         "AddrRange",
     ]
-    assert (summary.cycles, summary.writes, summary.reads) == (5, 2, 2)
-    assert summary.range_errors == 1
-    assert summary.auth_fails == 0
-    assert summary.cycles == ram.cycle_count
+    assert ledger.ops_by_status == {Status.OK: 4, Status.ADDR_RANGE: 1}
+    assert ledger.ops_total == 5
+    assert ledger.cycles == ram.cycle_count == 5
+    assert ledger.energy_j == 5 * 2e-9
 
 
 def test_run_trace_wrong_key():
     ram = IotRam(RamConfig(device_ipv6=KEY))
-    results, summary = run_trace(ram, parse_trace("W 0 1\nR 0\n"), KEY + 1)
-    assert summary.auth_fails == 2
-    assert summary.writes == 0
+    ledger = EnergyLedger(0.0)
+    results = run_trace(ram, parse_trace("W 0 1\nR 0\n"), KEY + 1, ledger)
+    assert [status for _, status, _ in results] == [Status.AUTH_FAIL, Status.AUTH_FAIL]
+    assert ledger.ops_by_status == {Status.AUTH_FAIL: 2}
+    assert (ledger.ops_total, ledger.cycles) == (2, 2)
     assert ram.read(KEY, 0)[1] == 0
+
+
+def test_run_trace_adds_to_a_shared_ledger():
+    ram = IotRam(RamConfig(device_ipv6=KEY))
+    ledger = EnergyLedger(3e-9)
+    run_trace(ram, parse_trace("W 0 1\nR 0\n"), KEY, ledger)
+    run_trace(ram, parse_trace("R 0\nR 300\n"), KEY + 1, ledger)
+    assert ledger.ops_by_status == {Status.OK: 2, Status.AUTH_FAIL: 2}
+    assert (ledger.ops_total, ledger.cycles) == (4, ram.cycle_count)
+    assert ledger.energy_j == 4 * 3e-9
+
+
+def test_run_trace_of_no_ops_records_nothing():
+    ram = IotRam(RamConfig(device_ipv6=KEY))
+    ledger = EnergyLedger(1e-9)
+    assert run_trace(ram, parse_trace("# nothing to do\n\n"), KEY, ledger) == []
+    assert (ledger.ops_by_status, ledger.ops_total, ledger.cycles) == ({}, 0, 0)
+    assert ledger.energy_j == 0.0
 
 
 # ------------------------------------------------- parse and run, as a model
@@ -152,11 +173,11 @@ def trace_texts(draw) -> tuple[str, list]:
 
 def _model(meanings: list, key_ok: bool):
     """What parse_trace and run_trace must give, from a plain dict: the line
-    number of the first bad line, or the per-op results with the tally, the
-    cycle count and the last word read."""
+    number of the first bad line, or the per-op results with the count of
+    each status and the last word read."""
     words: dict[int, int] = {}
     results, last_dout = [], 0
-    tally = {"writes": 0, "reads": 0, "auth_fails": 0, "range_errors": 0}
+    tally: dict[Status, int] = {}
     for lineno, meaning in enumerate(meanings, start=1):
         if meaning is None:
             continue
@@ -166,18 +187,15 @@ def _model(meanings: list, key_ok: bool):
         data = meaning[2] if is_write else None
         if not key_ok:
             status, out = Status.AUTH_FAIL, 0
-            tally["auth_fails"] += 1
         elif addr >= DEPTH:
             status, out = Status.ADDR_RANGE, 0
-            tally["range_errors"] += 1
         elif is_write:
             words[addr] = data
             status, out = Status.OK, 0
-            tally["writes"] += 1
         else:
             status, out = Status.OK, words.get(addr, 0)
             last_dout = out
-            tally["reads"] += 1
+        tally[status] = tally.get(status, 0) + 1
         results.append(((lineno, is_write, addr, data), status, out))
     return None, (results, tally, last_dout)
 
@@ -194,11 +212,13 @@ def test_parse_and_run_match_a_dict_model(trace, key_ok):
         assert err.lineno == bad_lineno, (err, text)
         return
     assert bad_lineno is None, text
-    results, summary = run_trace(ram, ops, KEY if key_ok else WRONG)
+    ledger = EnergyLedger(1e-9)
+    results = run_trace(ram, ops, KEY if key_ok else WRONG, ledger)
     want_results, tally, last_dout = want
     assert results == want_results
     assert all(type(op) is TraceOp and status is want_status
                for (op, status, _), (_, want_status, _) in zip(results, want_results))
-    assert dataclasses.asdict(summary) == {"cycles": len(want_results), **tally}
+    assert ledger.ops_by_status == tally
+    assert ledger.ops_total == ledger.cycles == len(want_results)
     assert ram.cycle_count == len(want_results)
     assert ram.last_dout == last_dout
