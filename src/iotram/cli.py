@@ -9,9 +9,7 @@ one table, `_ERROR_EXITS`.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import ipaddress
-import json
 import math
 import os
 import sys
@@ -100,8 +98,15 @@ def _load_dataset(path: str | None) -> CalibrationDataset:
         raise CliError(EXIT_IO, f"bad calibration file {path}: {exc}") from None
 
 
+def _print_json(doc) -> None:
+    # Only JSON output pays for importing json.
+    import json
+
+    print(json.dumps(doc, indent=2))
+
+
 def _cell_record(std: IoStandard, ch: WlanChannel, cell) -> dict:
-    return {"standard": std.name, "channel_ghz": ch.carrier_ghz, **dataclasses.asdict(cell)}
+    return {"standard": std.name, "channel_ghz": ch.carrier_ghz, **cell._asdict()}
 
 
 def cmd_table(args) -> int:
@@ -114,7 +119,7 @@ def cmd_table(args) -> int:
         print(write_calibration(CalibrationDataset(cells)), end="")
     elif args.format == "json":
         records = [_cell_record(s, c, cells[(s, c)]) for s in standards for c in channels]
-        print(json.dumps({"provenance": ds.provenance, "cells": records}, indent=2))
+        _print_json({"provenance": ds.provenance, "cells": records})
     else:
         for c in channels:
             print(f"Power consumption at {c.carrier_ghz} GHz ({c.ieee_name}), watts")
@@ -146,22 +151,19 @@ def cmd_compare(args) -> int:
                 f"{r.alt_std.name},{r.base_w:.3f},{r.alt_w:.3f},{r.percent:.2f}"
             )
     elif args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "channel_ghz": r.channel.carrier_ghz,
-                        "rail": rail.name.lower(),
-                        "base_standard": r.base_std.name,
-                        "alt_standard": r.alt_std.name,
-                        "base_w": r.base_w,
-                        "alt_w": r.alt_w,
-                        "percent": round(r.percent, 2),
-                    }
-                    for r in reports
-                ],
-                indent=2,
-            )
+        _print_json(
+            [
+                {
+                    "channel_ghz": r.channel.carrier_ghz,
+                    "rail": rail.name.lower(),
+                    "base_standard": r.base_std.name,
+                    "alt_standard": r.alt_std.name,
+                    "base_w": r.base_w,
+                    "alt_w": r.alt_w,
+                    "percent": round(r.percent, 2),
+                }
+                for r in reports
+            ]
         )
     else:
         for r in reports:
@@ -197,7 +199,7 @@ def cmd_fit(args) -> int:
             "max_relative_residuals": residuals,
             "io_slope_per_volt_sq": {s.name: v for s, v in scaling.items()},
         }
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
         return EXIT_OK
 
     def line(name: str, f) -> str:
@@ -220,11 +222,7 @@ def cmd_fit(args) -> int:
 
 
 def _fit_record(f) -> dict:
-    return {
-        "slope_w_per_ghz": f.slope_w_per_ghz,
-        "intercept_w": f.intercept_w,
-        "fit_kind": f.fit_kind.value,
-    }
+    return {**f._asdict(), "fit_kind": f.fit_kind.value}
 
 
 def cmd_predict(args) -> int:
@@ -237,8 +235,8 @@ def cmd_predict(args) -> int:
     pb = predict(fit(ds), standards[0], args.freq_ghz)
 
     if args.format == "json":
-        doc = {"standard": standards[0].name, "freq_ghz": args.freq_ghz, **dataclasses.asdict(pb)}
-        print(json.dumps(doc, indent=2))
+        doc = {"standard": standards[0].name, "freq_ghz": args.freq_ghz, **pb._asdict()}
+        _print_json(doc)
     else:
         print(f"predicted power for {standards[0].name} at {args.freq_ghz} GHz, watts")
         for rail in POWER_RAILS + (Rail.TOTAL,):

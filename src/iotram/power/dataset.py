@@ -10,17 +10,14 @@ broken user-supplied grids can still be loaded and diagnosed.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import functools
 import math
 import types
 from collections.abc import Mapping
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 from .standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
-
-if TYPE_CHECKING:
-    from .model import ModelCoefficients
 
 #: Printed totals round per-rail; a stored total may differ from the rail sum
 #: by up to this many watts.
@@ -37,10 +34,7 @@ class MissingCell(KeyError):
         return str(self.args[0])
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class PowerBreakdown:
-    """The five power rails plus the reported total, in watts."""
-
+class _PowerBreakdownFields(NamedTuple):
     clock_w: float
     signal_w: float
     bram_w: float
@@ -48,10 +42,18 @@ class PowerBreakdown:
     leakage_w: float
     total_w: float
 
-    # Hand-written: a generated frozen __init__ sets each field through
-    # object.__setattr__, and a __post_init__ check reads them all back.
-    def __init__(
-        self, clock_w: float, signal_w: float, bram_w: float,
+
+class PowerBreakdown(_PowerBreakdownFields):
+    """The five power rails plus the reported total, in watts.
+
+    A NamedTuple whose `__new__` checks every field; `_make`, and so
+    `_replace`, and unpickling and copying all build through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, clock_w: float, signal_w: float, bram_w: float,
         io_w: float, leakage_w: float, total_w: float,
     ):
         if not (
@@ -60,15 +62,16 @@ class PowerBreakdown:
         ):
             # Some field is negative, NaN or infinite: name the first one.
             values = (clock_w, signal_w, bram_w, io_w, leakage_w, total_w)
-            for field, value in zip(dataclasses.fields(self), values):
+            for field, value in zip(cls._fields, values):
                 if not 0 <= value < _INF:
                     if value < 0:
-                        raise ValueError(f"{field.name} must be >= 0, got {value}")
-                    raise ValueError(f"{field.name} must be finite, got {value}")
-        self.__dict__.update(
-            clock_w=clock_w, signal_w=signal_w, bram_w=bram_w,
-            io_w=io_w, leakage_w=leakage_w, total_w=total_w,
-        )
+                        raise ValueError(f"{field} must be >= 0, got {value}")
+                    raise ValueError(f"{field} must be finite, got {value}")
+        return tuple.__new__(cls, (clock_w, signal_w, bram_w, io_w, leakage_w, total_w))
+
+    @classmethod
+    def _make(cls, iterable) -> PowerBreakdown:
+        return cls(*iterable)
 
     def rail(self, rail: Rail) -> float:
         return getattr(self, rail.field)
@@ -99,8 +102,7 @@ class DiagnosticCode(enum.Enum):
         return self in (DiagnosticCode.TABLE7_MISMATCH, DiagnosticCode.CLAIM_MISMATCH)
 
 
-@dataclasses.dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: DiagnosticCode
     message: str
     location: str
@@ -109,7 +111,6 @@ class Diagnostic:
         return f"INCONSISTENCY {self.code.value:<16} {self.location}: {self.message}"
 
 
-@dataclasses.dataclass(frozen=True)
 class CalibrationDataset:
     """Read-only grid of breakdown cells keyed by (standard, channel).
 
@@ -117,25 +118,45 @@ class CalibrationDataset:
     may be partial, in which case `lookup` raises MissingCell. `cells` is a
     read-only view of a copy of the mapping given, so what depends only on
     the cells is computed once: the standards and channels present here, and
-    the fit that `model.fit` keeps on the grid.
+    the fit that `model.fit` keeps on the grid. Two grids are equal when
+    their cells and provenance are; the kept fit takes no part in equality
+    or `repr`, and a grid is not hashable.
     """
 
-    cells: Mapping[tuple[IoStandard, WlanChannel], PowerBreakdown]
-    provenance: str = "user"
-    _standards: tuple[IoStandard, ...] = dataclasses.field(init=False, compare=False, repr=False)
-    _channels: tuple[WlanChannel, ...] = dataclasses.field(init=False, compare=False, repr=False)
-    # Set by each `model.fit` of this grid that succeeds.
-    _fit: ModelCoefficients | None = dataclasses.field(
-        default=None, init=False, compare=False, repr=False
-    )
+    __slots__ = ("cells", "provenance", "_standards", "_channels", "_fit")
 
-    def __post_init__(self):
-        cells = types.MappingProxyType(dict(self.cells))
+    def __init__(
+        self, cells: Mapping[tuple[IoStandard, WlanChannel], PowerBreakdown],
+        provenance: str = "user",
+    ):
+        cells = types.MappingProxyType(dict(cells))
         stds = {s for s, _ in cells}
         chs = {c for _, c in cells}
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_standards", tuple(s for s in STANDARDS if s in stds))
-        object.__setattr__(self, "_channels", tuple(c for c in CHANNELS if c in chs))
+        init = object.__setattr__
+        init(self, "cells", cells)
+        init(self, "provenance", provenance)
+        init(self, "_standards", tuple(s for s in STANDARDS if s in stds))
+        init(self, "_channels", tuple(c for c in CHANNELS if c in chs))
+        # The ModelCoefficients of each `model.fit` of this grid that succeeds.
+        init(self, "_fit", None)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a CalibrationDataset is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cells, self.provenance) == (other.cells, other.provenance)
+
+    def __repr__(self) -> str:
+        return f"CalibrationDataset(cells={self.cells!r}, provenance={self.provenance!r})"
+
+    def __reduce__(self):
+        # Copies are built by __init__, as the read-only attributes cannot be
+        # set, from a dict, as a read-only mapping cannot be pickled.
+        return CalibrationDataset, (dict(self.cells), self.provenance)
 
     def channels(self) -> tuple[WlanChannel, ...]:
         return self._channels
@@ -188,14 +209,19 @@ _GRID: dict[float, dict[str, tuple[float, float, float, float, float, float]]] =
 BUILTIN_PROVENANCE = "builtin: 40nm FPGA IoT-RAM power tables, LVCMOS12-25 x 0.9-5.9 GHz"
 
 
+@functools.cache
+def _builtin_cells() -> dict[tuple[IoStandard, WlanChannel], PowerBreakdown]:
+    return {
+        (IoStandard[std_name], WlanChannel.from_ghz(ghz)): PowerBreakdown(*row)
+        for ghz, rows in _GRID.items()
+        for std_name, row in rows.items()
+    }
+
+
 def builtin_dataset() -> CalibrationDataset:
-    """The embedded 20-cell calibration grid, fresh on every call."""
-    cells = {}
-    for ghz, rows in _GRID.items():
-        ch = WlanChannel.from_ghz(ghz)
-        for std_name, row in rows.items():
-            cells[(IoStandard[std_name], ch)] = PowerBreakdown(*row)
-    return CalibrationDataset(cells=cells, provenance=BUILTIN_PROVENANCE)
+    """The embedded 20-cell calibration grid: a fresh grid, with a fit of its
+    own, on every call. Its cells are built once per process."""
+    return CalibrationDataset(_builtin_cells(), BUILTIN_PROVENANCE)
 
 
 def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:

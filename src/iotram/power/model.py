@@ -13,12 +13,12 @@ be slightly negative) and reports the total as the sum of the clamped rails.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import types
 from collections.abc import Mapping
 from operator import mul
+from typing import NamedTuple
 
 from .dataset import CalibrationDataset, MissingCell, PowerBreakdown
 from .standards import IoStandard, Rail, channel_at
@@ -39,37 +39,62 @@ class FitKind(enum.Enum):
     AFFINE = "affine"
 
 
-@dataclasses.dataclass(frozen=True)
-class RailFit:
+class _RailFitFields(NamedTuple):
     slope_w_per_ghz: float
     intercept_w: float
     fit_kind: FitKind
 
-    def __post_init__(self):
-        if not (math.isfinite(self.slope_w_per_ghz) and math.isfinite(self.intercept_w)):
+
+class RailFit(_RailFitFields):
+    """One fitted line. A NamedTuple whose `__new__` raises DegenerateFit for
+    a slope or intercept that is not finite; `_make`, and so `_replace`,
+    and unpickling and copying all build through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, slope_w_per_ghz: float, intercept_w: float, fit_kind: FitKind):
+        if not (math.isfinite(slope_w_per_ghz) and math.isfinite(intercept_w)):
             raise DegenerateFit(
-                f"{self.fit_kind.value} fit overflows: slope {self.slope_w_per_ghz}, "
-                f"intercept {self.intercept_w}"
+                f"{fit_kind.value} fit overflows: slope {slope_w_per_ghz}, "
+                f"intercept {intercept_w}"
             )
+        return tuple.__new__(cls, (slope_w_per_ghz, intercept_w, fit_kind))
+
+    @classmethod
+    def _make(cls, iterable) -> RailFit:
+        return cls(*iterable)
 
     def at(self, f_ghz: float) -> float:
         return self.slope_w_per_ghz * f_ghz + self.intercept_w
 
 
-@dataclasses.dataclass(frozen=True)
-class ModelCoefficients:
-    """One grid's fit. `io` and `leakage` are read-only mappings, because the
-    grid keeps its fit and hands the same coefficients to every caller."""
-
+class _ModelCoefficientsFields(NamedTuple):
     clock: RailFit
     signal: RailFit
     bram: RailFit
     io: Mapping[IoStandard, RailFit]
     leakage: Mapping[IoStandard, RailFit]
 
-    def __post_init__(self):
-        object.__setattr__(self, "io", types.MappingProxyType(dict(self.io)))
-        object.__setattr__(self, "leakage", types.MappingProxyType(dict(self.leakage)))
+
+class ModelCoefficients(_ModelCoefficientsFields):
+    """One grid's fit. `io` and `leakage` are read-only mappings, because the
+    grid keeps its fit and hands the same coefficients to every caller; each
+    way of building one, `_make` and `_replace` included, copies them so."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, clock: RailFit, signal: RailFit, bram: RailFit,
+        io: Mapping[IoStandard, RailFit], leakage: Mapping[IoStandard, RailFit],
+    ):
+        return tuple.__new__(cls, (
+            clock, signal, bram,
+            types.MappingProxyType(dict(io)), types.MappingProxyType(dict(leakage)),
+        ))
+
+    @classmethod
+    def _make(cls, iterable) -> ModelCoefficients:
+        return cls(*iterable)
 
 
 def _through_origin(fs: list[float], ys: list[float]) -> RailFit:

@@ -13,9 +13,9 @@ the comparison table's 1.383 W entry for (LVCMOS25, 2.4 GHz), and the headline
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 from .dataset import CalibrationDataset, Diagnostic, DiagnosticCode
 from .standards import CHANNELS, IoStandard, Rail, WlanChannel
@@ -33,8 +33,7 @@ class ZeroBase(ValueError):
     overflows, is undefined."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     rail: Rail
     base_std: IoStandard
     alt_std: IoStandard
@@ -83,8 +82,7 @@ PUBLISHED_IO_COMPARISON: dict[IoStandard, dict[WlanChannel, float]] = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class PublishedClaim:
+class PublishedClaim(NamedTuple):
     """One quoted reduction figure, always LVCMOS25 -> LVCMOS12."""
 
     rail: Rail

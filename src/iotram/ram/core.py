@@ -14,7 +14,6 @@ one across threads must serialize operations themselves.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 
 WORD_BITS = 32
@@ -29,22 +28,49 @@ class InvalidConfig(ValueError):
     """Rejected RAM configuration (depth outside 1..2**32, bad key)."""
 
 
-@dataclasses.dataclass(frozen=True)
 class RamConfig:
-    """Depth in 32-bit words plus the gate key."""
+    """Depth in 32-bit words plus the gate key; read-only.
 
-    depth_words: int = 256
-    device_ipv6: int = 0
+    A `__slots__` class, as every RAM access reads both fields. Copies,
+    unpickling and `_replace` are built by `__init__`, so they are checked.
+    """
 
-    def __post_init__(self):
-        if self.depth_words < 1:
-            raise InvalidConfig(f"depth_words must be >= 1, got {self.depth_words}")
-        if self.depth_words > MAX_DEPTH_WORDS:
+    __slots__ = ("depth_words", "device_ipv6")
+
+    def __init__(self, depth_words: int = 256, device_ipv6: int = 0):
+        if depth_words < 1:
+            raise InvalidConfig(f"depth_words must be >= 1, got {depth_words}")
+        if depth_words > MAX_DEPTH_WORDS:
             raise InvalidConfig(
-                f"depth_words must be <= 2**32 (32-bit addresses), got {self.depth_words}"
+                f"depth_words must be <= 2**32 (32-bit addresses), got {depth_words}"
             )
-        if not 0 <= self.device_ipv6 <= KEY_MASK:
+        if not 0 <= device_ipv6 <= KEY_MASK:
             raise InvalidConfig("device_ipv6 must fit in 128 bits")
+        object.__setattr__(self, "depth_words", depth_words)
+        object.__setattr__(self, "device_ipv6", device_ipv6)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a RamConfig is read-only")
+
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes) -> RamConfig:
+        fields = {"depth_words": self.depth_words, "device_ipv6": self.device_ipv6}
+        return RamConfig(**{**fields, **changes})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.depth_words, self.device_ipv6) == (other.depth_words, other.device_ipv6)
+
+    def __hash__(self) -> int:
+        return hash((self.depth_words, self.device_ipv6))
+
+    def __repr__(self) -> str:
+        return f"RamConfig(depth_words={self.depth_words!r}, device_ipv6={self.device_ipv6!r})"
+
+    def __reduce__(self):
+        return RamConfig, (self.depth_words, self.device_ipv6)
 
 
 class Status(enum.IntEnum):

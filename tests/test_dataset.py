@@ -1,7 +1,6 @@
 """Golden checks of the builtin calibration grid and the file format."""
 
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -115,26 +114,37 @@ def test_breakdown_accepts_zero_and_large():
     assert cell.rail(Rail.SIGNAL) == 0.0 and cell.rail(Rail.IO) == 1.7e308
 
 
-def test_breakdown_is_a_frozen_dataclass():
+def test_breakdown_is_an_immutable_record():
     cell = PowerBreakdown(clock_w=0.1, signal_w=0.2, bram_w=0.3, io_w=0.4, leakage_w=0.5, total_w=1.5)
     assert cell == PowerBreakdown(0.1, 0.2, 0.3, 0.4, 0.5, 1.5)
     assert hash(cell) == hash(PowerBreakdown(0.1, 0.2, 0.3, 0.4, 0.5, 1.5))
     assert repr(cell) == (
         "PowerBreakdown(clock_w=0.1, signal_w=0.2, bram_w=0.3, io_w=0.4, leakage_w=0.5, total_w=1.5)"
     )
-    assert dataclasses.asdict(cell) == {
+    assert PowerBreakdown._fields == ("clock_w", "signal_w", "bram_w", "io_w", "leakage_w", "total_w")
+    assert cell._asdict() == {
         "clock_w": 0.1, "signal_w": 0.2, "bram_w": 0.3, "io_w": 0.4, "leakage_w": 0.5, "total_w": 1.5,
     }
-    assert dataclasses.replace(cell, io_w=0.0).io_w == 0.0
+    # A NamedTuple: equal to the plain tuple of its fields, and iterable.
+    assert cell == (0.1, 0.2, 0.3, 0.4, 0.5, 1.5)
+    assert list(cell) == [0.1, 0.2, 0.3, 0.4, 0.5, 1.5]
+    replaced = cell._replace(io_w=0.0)
+    assert type(replaced) is PowerBreakdown and replaced.io_w == 0.0
+    # `_replace` and `_make` check again.
     with pytest.raises(ValueError) as err:
-        dataclasses.replace(cell, io_w=-1)
+        cell._replace(io_w=-1)
     assert str(err.value) == "io_w must be >= 0, got -1"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(ValueError) as err:
+        PowerBreakdown._make((0.1, 0.2, math.nan, 0.4, 0.5, 1.5))
+    assert str(err.value) == "bram_w must be finite, got nan"
+    with pytest.raises(AttributeError):
         cell.io_w = 0.0
+    with pytest.raises(AttributeError):
+        cell.extra = 0.0
     with pytest.raises(TypeError):
         PowerBreakdown(0.1, 0.2, 0.3, 0.4, 0.5)
     for clone in (pickle.loads(pickle.dumps(cell)), copy.deepcopy(cell), copy.copy(cell)):
-        assert clone == cell and clone is not cell
+        assert type(clone) is PowerBreakdown and clone == cell
 
 
 def test_validate_builtin_is_clean(ds):

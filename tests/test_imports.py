@@ -2,13 +2,14 @@
 
 `import iotram.power` must not load the RAM or the socket service, and
 `import iotram.cli` must leave the socket service to `serve`: a priced
-`ram-run`, which tallies in the RAM's `EnergyLedger`, does not load it. The package
-`__init__` modules resolve the rest on first use, so the public names are
-checked in a fresh interpreter, where that first use happens.
+`ram-run`, which tallies in the RAM's `EnergyLedger`, does not load it. None
+of the three loads `dataclasses` or the `inspect` that it imports, and the
+CLI leaves `json` to JSON output. The package `__init__` modules resolve the
+rest on first use, so the public names are checked in a fresh interpreter,
+where that first use happens.
 """
 
 import importlib
-import json
 import os
 import pathlib
 import subprocess
@@ -20,21 +21,25 @@ import iotram
 import iotram.net.service
 
 SERVICE_NAMES = ("EnergyLedger", "RamService", "handle_datagram", "make_ledger")
+#: Modules the plain record types leave unloaded.
+NO_RECORD_MACHINERY = ("dataclasses", "inspect")
 ENDPOINT_NAMES = ("BIND_ENV_VAR", "BadEndpoint", "BindFailure", "DEFAULT_BIND", "parse_endpoint")
 
-# Prints, as JSON, the modules that importing argv[1] adds to this
-# interpreter, so that whatever `site` loaded beforehand is left out.
+# Prints, one to a line, the modules that importing argv[1] adds to this
+# interpreter, so that whatever `site` loaded beforehand is left out. The
+# script itself imports only `sys`, so that a module the import loads is not
+# hidden by the script having loaded it first.
 _NEW_MODULES = """
-import json, sys
+import sys
 before = set(sys.modules)
 __import__(sys.argv[1])
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(*sorted(set(sys.modules) - before), sep="\\n")
 """
 
 # Runs a priced `ram-run` (trace file in argv[1]) through `iotram.cli.main`,
-# output discarded, and prints as JSON the modules that the run loaded.
+# output discarded, and prints, one to a line, the modules that the run loaded.
 _RAM_RUN_MODULES = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 import iotram.cli
 with contextlib.redirect_stdout(io.StringIO()):
@@ -42,7 +47,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["ram-run", "--trace", sys.argv[1], "--standard", "LVCMOS12", "--channel", "2.4"]
     )
 assert code == 0, code
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(*sorted(set(sys.modules) - before), sep="\\n")
 """
 
 # Touches every public name in a fresh interpreter, where the lazy lookups
@@ -71,14 +76,14 @@ def _child(script: str, *args: str) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "module,forbidden",
     [
-        ("iotram.power", ("iotram.net", "iotram.ram", "socket")),
-        ("iotram.cli", ("iotram.net.service", "socket")),
+        ("iotram.power", ("iotram.net", "iotram.ram", "socket", *NO_RECORD_MACHINERY)),
+        ("iotram.cli", ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)),
     ],
 )
 def test_import_loads_only_what_it_uses(module, forbidden):
     proc = _child(_NEW_MODULES, module)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded = proc.stdout.split()
     assert module in loaded
     assert _unwanted(loaded, forbidden) == []
 
@@ -88,9 +93,9 @@ def test_priced_ram_run_loads_no_socket_code(tmp_path):
     trace.write_text("W 0 DEADBEEF\nR 0\nR 999\n", encoding="utf-8")
     proc = _child(_RAM_RUN_MODULES, str(trace))
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded = proc.stdout.split()
     assert "iotram.ram.core" in loaded
-    assert _unwanted(loaded, ("iotram.net.service", "socket")) == []
+    assert _unwanted(loaded, ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)) == []
 
 
 def _unwanted(loaded: list[str], forbidden: tuple[str, ...]) -> list[str]:

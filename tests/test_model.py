@@ -6,8 +6,9 @@ the coefficients must agree to floating precision. A few slopes derived by
 hand from the grid are also frozen as literals.
 """
 
-import dataclasses
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from iotram.power import (
     FitKind,
     IoStandard,
     MissingCell,
+    ModelCoefficients,
     NonPositiveFrequency,
     Rail,
     WlanChannel,
@@ -169,7 +171,7 @@ def test_fit_accepts_partial_grid(ds):
 
 def test_fit_overflow_is_degenerate(ds):
     huge = CalibrationDataset(
-        cells={key: dataclasses.replace(cell, bram_w=1e308) for key, cell in ds.cells.items()},
+        cells={key: cell._replace(bram_w=1e308) for key, cell in ds.cells.items()},
         provenance="huge",
     )
     with pytest.raises(DegenerateFit):
@@ -178,7 +180,7 @@ def test_fit_overflow_is_degenerate(ds):
 
 def test_residuals_of_all_zero_series(ds):
     zero_io = CalibrationDataset(
-        cells={key: dataclasses.replace(cell, io_w=0.0) for key, cell in ds.cells.items()},
+        cells={key: cell._replace(io_w=0.0) for key, cell in ds.cells.items()},
         provenance="zero io",
     )
     coeffs = fit(zero_io)
@@ -279,6 +281,19 @@ def test_fit_is_kept_for_power_at(fit_calls):
         del coeffs.leakage[IoStandard.LVCMOS12]
 
 
+def test_every_way_to_build_coefficients_makes_read_only_mappings(coeffs):
+    builds = (
+        ModelCoefficients(*coeffs), ModelCoefficients._make(coeffs), copy.copy(coeffs),
+        coeffs._replace(io=dict(coeffs.io), leakage=dict(coeffs.leakage)),
+    )
+    for built in builds:
+        assert type(built) is ModelCoefficients and built == coeffs
+        with pytest.raises(TypeError):
+            built.io[IoStandard.LVCMOS12] = coeffs.clock
+        with pytest.raises(TypeError):
+            del built.leakage[IoStandard.LVCMOS12]
+
+
 def test_a_fit_that_raises_is_not_kept(ds, fit_calls):
     keep = {
         (s, c): cell
@@ -305,6 +320,30 @@ def test_cells_are_read_only():
     grid = CalibrationDataset(cells)
     cells.clear()
     assert grid.cells == ds.cells
+
+
+def test_a_grid_is_read_only_and_unhashable():
+    ds = builtin_dataset()
+    for name in ("cells", "provenance", "_fit", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ds, name, None)
+        with pytest.raises(AttributeError):
+            delattr(ds, name)
+    with pytest.raises(TypeError):
+        hash(ds)
+    assert repr(ds) == f"CalibrationDataset(cells={ds.cells!r}, provenance={ds.provenance!r})"
+    assert ds != CalibrationDataset(ds.cells, "other") and ds != (ds.cells, ds.provenance)
+    for clone in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
+        assert type(clone) is CalibrationDataset and clone == ds
+        assert clone.cells is not ds.cells
+
+
+def test_each_builtin_grid_keeps_its_own_fit(fit_calls):
+    a, b = builtin_dataset(), builtin_dataset()
+    power_at(a, IoStandard.LVCMOS12, 4.2)
+    assert a._fit is not None and b._fit is None
+    power_at(b, IoStandard.LVCMOS12, 4.2)
+    assert fit_calls == [a, b] and a._fit is not b._fit
 
 
 def test_a_fitted_grid_equals_an_unfitted_copy(fit_calls):

@@ -1,4 +1,5 @@
-"""Property tests of the two untrusted boundaries: calibration text and argv.
+"""Property tests of the two untrusted boundaries, calibration text and argv,
+and of the checks of the records built from them.
 
 Every command line gives a documented exit code with one `iotram:` (or
 argparse) line on stderr and never a traceback; a calibration text the
@@ -6,12 +7,16 @@ reader rejects is refused at the physical line of its first bad value, and
 every text it accepts either fits with finite coefficients, and then prices
 every off-grid frequency as that fit predicts, or raises one of the fit's
 documented errors. The fit is also held to a reference written here, the
-pooled series summed with `sum()`, to the bit. Example counts are fixed, and
-the profile in conftest.py derandomizes every property test and lifts its
-deadline, so the run time is bounded and nothing depends on timing.
+pooled series summed with `sum()`, to the bit. A checked record (a
+`PowerBreakdown`, `RailFit` or `RamConfig`) accepts and rejects the same
+fields, with the same message, however it is built. Example counts are
+fixed, and the profile in conftest.py derandomizes every property test and
+lifts its deadline, so the run time is bounded and nothing depends on timing.
 """
 
+import copy
 import math
+import pickle
 import re
 
 import pytest
@@ -24,6 +29,7 @@ from iotram.power import (
     FitKind,
     MissingCell,
     NonPositiveFrequency,
+    PowerBreakdown,
     Rail,
     RailFit,
     fit,
@@ -31,6 +37,7 @@ from iotram.power import (
     predict,
     read_calibration,
 )
+from iotram.ram import InvalidConfig, RamConfig
 from test_golden import run_cli
 
 STANDARD_NAMES = ("LVCMOS12", "LVCMOS15", "LVCMOS18", "LVCMOS25")
@@ -277,3 +284,112 @@ def test_fit_matches_the_pooled_series_reference_to_the_bit(text):
     assert {name: _bits(rf) for name, rf in got.items()} == {
         name: _bits(rf) for name, rf in want.items()
     }
+
+
+# Field values for the checked records: any float, and the edges of each
+# check drawn often. The reference errors below are the rules of the checks
+# as first written, when each record was a frozen dataclass that checked on
+# construction and on `dataclasses.replace`.
+_FIELD_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -1.0, math.nan, math.inf, -math.inf])
+)
+_FIELD_INTS = st.one_of(
+    st.integers(), st.sampled_from([-1, 0, 1, 2**32, 2**32 + 1, 2**128 - 1, 2**128])
+)
+BREAKDOWN_FIELDS = ("clock_w", "signal_w", "bram_w", "io_w", "leakage_w", "total_w")
+
+
+def _breakdown_error(values):
+    """The first field in declaration order that is negative, NaN or infinite."""
+    for name, value in zip(BREAKDOWN_FIELDS, values):
+        if value < 0:
+            return ValueError, f"{name} must be >= 0, got {value}"
+        if not value < math.inf:
+            return ValueError, f"{name} must be finite, got {value}"
+    return None
+
+
+def _rail_fit_error(slope, intercept, kind):
+    if math.isfinite(slope) and math.isfinite(intercept):
+        return None
+    return DegenerateFit, f"{kind.value} fit overflows: slope {slope}, intercept {intercept}"
+
+
+def _config_error(depth, key):
+    if depth < 1:
+        return InvalidConfig, f"depth_words must be >= 1, got {depth}"
+    if depth > 2**32:
+        return InvalidConfig, f"depth_words must be <= 2**32 (32-bit addresses), got {depth}"
+    if not 0 <= key < 2**128:
+        return InvalidConfig, "device_ipv6 must fit in 128 bits"
+    return None
+
+
+def _check_every_build(cls, names, values, base, forged, want_error):
+    """Build a `cls` with these field values every way there is: by position,
+    by keyword, with `_make` (a NamedTuple's), with `_replace` of the valid
+    `base`, and as a pickle, copy and deep copy of `forged`, an instance made
+    past the checks. Each must give the field values unchanged, or raise
+    `want_error`, a (type, message) pair."""
+    kwargs = dict(zip(names, values))
+    builds = {
+        "positional": lambda: cls(*values),
+        "keyword": lambda: cls(**kwargs),
+        "_replace": lambda: base._replace(**kwargs),
+        "pickle": lambda: pickle.loads(pickle.dumps(forged)),
+        "copy": lambda: copy.copy(forged),
+        "deepcopy": lambda: copy.deepcopy(forged),
+    }
+    if hasattr(cls, "_make"):
+        builds["_make"] = lambda: cls._make(values)
+    want_repr = f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"
+    for how, build in builds.items():
+        if want_error is None:
+            record = build()
+            assert type(record) is cls and repr(record) == want_repr, how
+        else:
+            with pytest.raises(want_error[0]) as err:
+                build()
+            assert (type(err.value), str(err.value)) == want_error, how
+
+
+@settings(max_examples=300)
+@given(values=st.tuples(*[_FIELD_FLOATS] * 6))
+def test_every_way_to_build_a_breakdown_checks_it(values):
+    base = PowerBreakdown(0.1, 0.2, 0.3, 0.4, 0.5, 1.5)
+    forged = tuple.__new__(PowerBreakdown, values)
+    want = _breakdown_error(values)
+    _check_every_build(PowerBreakdown, BREAKDOWN_FIELDS, values, base, forged, want)
+    # `_replace` of one field checks the record it makes.
+    for name, value in zip(BREAKDOWN_FIELDS, values):
+        one = tuple(value if n == name else v for n, v in zip(BREAKDOWN_FIELDS, base))
+        want_one = _breakdown_error(one)
+        if want_one is None:
+            assert list(map(repr, base._replace(**{name: value}))) == list(map(repr, one))
+        else:
+            with pytest.raises(ValueError) as err:
+                base._replace(**{name: value})
+            assert str(err.value) == want_one[1]
+
+
+@settings(max_examples=200)
+@given(slope=_FIELD_FLOATS, intercept=_FIELD_FLOATS, kind=st.sampled_from(FitKind))
+def test_every_way_to_build_a_rail_fit_checks_it(slope, intercept, kind):
+    values = (slope, intercept, kind)
+    _check_every_build(
+        RailFit, ("slope_w_per_ghz", "intercept_w", "fit_kind"), values,
+        RailFit(1.0, 0.0, FitKind.THROUGH_ORIGIN), tuple.__new__(RailFit, values),
+        _rail_fit_error(*values),
+    )
+
+
+@settings(max_examples=200)
+@given(depth=_FIELD_INTS, key=_FIELD_INTS)
+def test_every_way_to_build_a_ram_config_checks_it(depth, key):
+    forged = object.__new__(RamConfig)
+    object.__setattr__(forged, "depth_words", depth)
+    object.__setattr__(forged, "device_ipv6", key)
+    _check_every_build(
+        RamConfig, ("depth_words", "device_ipv6"), (depth, key), RamConfig(), forged,
+        _config_error(depth, key),
+    )

@@ -1,8 +1,9 @@
 """Key-gated RAM behavior, including a map-model equivalence property."""
 
-import dataclasses
+import copy
 import importlib
 import ipaddress
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,23 @@ def test_default_geometry(ram):
 
 
 def test_config_holds_only_depth_and_key():
-    assert [field.name for field in dataclasses.fields(RamConfig)] == ["depth_words", "device_ipv6"]
+    assert RamConfig.__slots__ == ("depth_words", "device_ipv6")
+    cfg = RamConfig(64, KEY)
+    assert cfg == RamConfig(depth_words=64, device_ipv6=KEY)
+    assert cfg != RamConfig(65, KEY)
+    assert hash(cfg) == hash(RamConfig(64, KEY))
+    assert repr(cfg) == f"RamConfig(depth_words=64, device_ipv6={KEY})"
+    with pytest.raises(AttributeError):
+        cfg.depth_words = 128
+    with pytest.raises(AttributeError):
+        del cfg.device_ipv6
+    with pytest.raises(AttributeError):
+        cfg.extra = 0
+    assert cfg._replace(depth_words=128) == RamConfig(128, KEY)
+    with pytest.raises(InvalidConfig, match="depth_words must be >= 1, got 0"):
+        cfg._replace(depth_words=0)
+    for clone in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg), copy.copy(cfg)):
+        assert type(clone) is RamConfig and clone == cfg
 
 
 @pytest.mark.parametrize("module", ["iotram.ram", "iotram.net", "iotram.net.service"])
