@@ -203,11 +203,10 @@ def cmd_fit(args) -> int:
         return EXIT_OK
 
     def line(name: str, f) -> str:
-        kind = "through-origin" if f.fit_kind is FitKind.THROUGH_ORIGIN else "affine"
         text = f"{name:<20} slope {f.slope_w_per_ghz:9.6f} W/GHz"
         if f.fit_kind is FitKind.AFFINE:
             text += f"  intercept {f.intercept_w:9.6f} W"
-        return f"{text}  [{kind}]  max residual {100 * residuals[name]:.2f}%"
+        return f"{text}  [{f.fit_kind.value}]  max residual {100 * residuals[name]:.2f}%"
 
     print(line("clock", coeffs.clock))
     print(line("signal", coeffs.signal))

@@ -17,8 +17,7 @@ from ..power.dataset import CalibrationDataset, builtin_dataset
 from ..power.model import energy_per_cycle, power_at
 from ..power.standards import IoStandard, WlanChannel
 from ..ram.core import EnergyLedger, IotRam, Status
-# The endpoint names stay importable from here as well, for existing callers.
-from .endpoint import BIND_ENV_VAR, DEFAULT_BIND, BadEndpoint, BindFailure, parse_endpoint
+from .endpoint import DEFAULT_BIND, BindFailure, parse_endpoint
 from .frames import (
     MalformedFrame,
     Opcode,

@@ -1,78 +1,39 @@
-"""Power calibration grid, per-rail scaling model, and reduction reports."""
+"""Power calibration grid, per-rail scaling model, and reduction reports.
+
+The layer's entry points; the rest (diagnostics, fit internals, published
+claims) is imported from `dataset`, `model`, `reductions` or `standards`.
+"""
 
 from .dataset import (
-    CALIBRATION_HEADER,
     CalibrationDataset,
-    Diagnostic,
-    DiagnosticCode,
     MissingCell,
     PowerBreakdown,
-    ROW_SUM_TOLERANCE_W,
     builtin_dataset,
     load_calibration_file,
     read_calibration,
     validate_dataset,
     write_calibration,
 )
-from .model import (
-    DegenerateFit,
-    FitKind,
-    ModelCoefficients,
-    NonPositiveFrequency,
-    RailFit,
-    energy_per_cycle,
-    fit,
-    io_slope_voltage_scaling,
-    max_relative_residuals,
-    power_at,
-    predict,
-)
-from .reductions import (
-    CLAIM_TOLERANCE_PP,
-    PUBLISHED_CLAIMS,
-    PUBLISHED_IO_COMPARISON,
-    PublishedClaim,
-    ReductionReport,
-    ZeroBase,
-    check_claims,
-    comparison_matrix,
-    reduction,
-)
-from .standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
+from .model import DegenerateFit, NonPositiveFrequency, energy_per_cycle, fit, power_at, predict
+from .reductions import ZeroBase, reduction
+from .standards import CHANNELS, STANDARDS, IoStandard, Rail, WlanChannel
 
 __all__ = [
-    "CALIBRATION_HEADER",
     "CHANNELS",
-    "CLAIM_TOLERANCE_PP",
     "CalibrationDataset",
     "DegenerateFit",
-    "Diagnostic",
-    "DiagnosticCode",
-    "FitKind",
     "IoStandard",
     "MissingCell",
-    "ModelCoefficients",
     "NonPositiveFrequency",
-    "POWER_RAILS",
-    "PUBLISHED_CLAIMS",
-    "PUBLISHED_IO_COMPARISON",
     "PowerBreakdown",
-    "PublishedClaim",
-    "ROW_SUM_TOLERANCE_W",
     "Rail",
-    "RailFit",
-    "ReductionReport",
     "STANDARDS",
     "WlanChannel",
     "ZeroBase",
     "builtin_dataset",
-    "check_claims",
-    "comparison_matrix",
     "energy_per_cycle",
     "fit",
-    "io_slope_voltage_scaling",
     "load_calibration_file",
-    "max_relative_residuals",
     "power_at",
     "predict",
     "read_calibration",

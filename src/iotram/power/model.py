@@ -79,7 +79,8 @@ class _ModelCoefficientsFields(NamedTuple):
 class ModelCoefficients(_ModelCoefficientsFields):
     """One grid's fit. `io` and `leakage` are read-only mappings, because the
     grid keeps its fit and hands the same coefficients to every caller; each
-    way of building one, `_make` and `_replace` included, copies them so."""
+    way of building one, `_make`, `_replace`, pickle and copies included,
+    copies them so."""
 
     __slots__ = ()
 
@@ -95,6 +96,12 @@ class ModelCoefficients(_ModelCoefficientsFields):
     @classmethod
     def _make(cls, iterable) -> ModelCoefficients:
         return cls(*iterable)
+
+    def __reduce__(self):
+        # A read-only mapping cannot be pickled, so copies are built from dicts.
+        return ModelCoefficients, (
+            self.clock, self.signal, self.bram, dict(self.io), dict(self.leakage)
+        )
 
 
 def _through_origin(fs: list[float], ys: list[float]) -> RailFit:

@@ -1,31 +1,19 @@
-"""IPv6-gated RAM model, its energy ledger, and trace driver."""
+"""IPv6-gated RAM model, its energy ledger, and trace driver.
 
-from .core import (
-    KEY_BITS,
-    KEY_MASK,
-    WORD_BITS,
-    WORD_MASK,
-    EnergyLedger,
-    InvalidConfig,
-    IotRam,
-    RamConfig,
-    Status,
-)
-from .trace import TraceError, TraceOp, parse_trace, render_outcome, run_trace
+The word and key widths, `TraceOp` and `render_outcome` are imported from
+`core` and `trace`.
+"""
+
+from .core import EnergyLedger, InvalidConfig, IotRam, RamConfig, Status
+from .trace import TraceError, parse_trace, run_trace
 
 __all__ = [
     "EnergyLedger",
     "InvalidConfig",
     "IotRam",
-    "KEY_BITS",
-    "KEY_MASK",
     "RamConfig",
     "Status",
     "TraceError",
-    "TraceOp",
-    "WORD_BITS",
-    "WORD_MASK",
     "parse_trace",
-    "render_outcome",
     "run_trace",
 ]

@@ -11,15 +11,8 @@ import math
 import random
 
 from iotram.cli import EXIT_OK, main
-from iotram.net import (
-    Opcode,
-    Status,
-    decode_request,
-    decode_response,
-    encode_request,
-    handle_datagram,
-    make_ledger,
-)
+from iotram.net import Opcode, decode_request, decode_response, encode_request
+from iotram.net.service import handle_datagram, make_ledger
 from iotram.power import (
     IoStandard,
     Rail,
@@ -27,10 +20,10 @@ from iotram.power import (
     WlanChannel,
     builtin_dataset,
     fit,
-    max_relative_residuals,
     reduction,
 )
-from iotram.ram import IotRam, RamConfig
+from iotram.power.model import max_relative_residuals
+from iotram.ram import IotRam, RamConfig, Status
 
 DEVICE_KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 

@@ -20,8 +20,9 @@ from iotram.cli import (
     EXIT_VALIDATION,
     main,
 )
-from iotram.net import RamService
-from iotram.power import CALIBRATION_HEADER, read_calibration, builtin_dataset
+from iotram.net.service import RamService
+from iotram.power import read_calibration, builtin_dataset
+from iotram.power.dataset import CALIBRATION_HEADER
 
 
 def run(capsys, *argv):

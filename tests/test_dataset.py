@@ -7,11 +7,8 @@ import pickle
 import pytest
 
 from iotram.power import (
-    CALIBRATION_HEADER,
     CHANNELS,
-    ROW_SUM_TOLERANCE_W,
     CalibrationDataset,
-    DiagnosticCode,
     IoStandard,
     MissingCell,
     PowerBreakdown,
@@ -23,6 +20,7 @@ from iotram.power import (
     validate_dataset,
     write_calibration,
 )
+from iotram.power.dataset import CALIBRATION_HEADER, ROW_SUM_TOLERANCE_W, DiagnosticCode
 
 @pytest.fixture
 def ds():

@@ -30,9 +30,11 @@ from unittest import mock
 import pytest
 
 from iotram.cli import main
-from iotram.net import EnergyLedger, encode_request, handle_datagram, make_ledger
-from iotram.power import CALIBRATION_HEADER, IoStandard, WlanChannel
-from iotram.ram import IotRam, RamConfig
+from iotram.net import encode_request
+from iotram.net.service import handle_datagram, make_ledger
+from iotram.power import IoStandard, WlanChannel
+from iotram.power.dataset import CALIBRATION_HEADER
+from iotram.ram import EnergyLedger, IotRam, RamConfig
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden") / "transcripts.json"
 

@@ -1,12 +1,14 @@
-"""What each import loads, and that every public name still resolves.
+"""What each import loads, and which names each package makes public.
 
-`import iotram.power` must not load the RAM or the socket service, and
-`import iotram.cli` must leave the socket service to `serve`: a priced
-`ram-run`, which tallies in the RAM's `EnergyLedger`, does not load it. None
-of the three loads `dataclasses` or the `inspect` that it imports, and the
-CLI leaves `json` to JSON output. The package `__init__` modules resolve the
-rest on first use, so the public names are checked in a fresh interpreter,
-where that first use happens.
+`import iotram.power` must not load the RAM or the socket service,
+`import iotram.ram` neither the power model nor the wire protocol, and
+`import iotram.net` not the socket service; `import iotram.cli` must leave
+the socket service to `serve`: a priced `ram-run`, which tallies in the RAM's
+`EnergyLedger`, does not load it. None of them loads `dataclasses` or the
+`inspect` that it imports, and the CLI leaves `json` to JSON output. `iotram`
+imports its layers on first use, so the public names are also checked in a
+fresh interpreter, where that first use happens. Each package lists only
+names defined in its own modules.
 """
 
 import importlib
@@ -18,12 +20,12 @@ import sys
 import pytest
 
 import iotram
+import iotram.net.endpoint
 import iotram.net.service
 
-SERVICE_NAMES = ("EnergyLedger", "RamService", "handle_datagram", "make_ledger")
+PACKAGES = ("iotram.net", "iotram.power", "iotram.ram")
 #: Modules the plain record types leave unloaded.
 NO_RECORD_MACHINERY = ("dataclasses", "inspect")
-ENDPOINT_NAMES = ("BIND_ENV_VAR", "BadEndpoint", "BindFailure", "DEFAULT_BIND", "parse_endpoint")
 
 # Prints, one to a line, the modules that importing argv[1] adds to this
 # interpreter, so that whatever `site` loaded beforehand is left out. The
@@ -51,11 +53,10 @@ print(*sorted(set(sys.modules) - before), sep="\\n")
 """
 
 # Touches every public name in a fresh interpreter, where the lazy lookups
-# of `iotram` and `iotram.net` run for the first time.
+# of `iotram` run for the first time; none of them loads the socket service.
 _FRESH_NAMES = """
 import sys
 import iotram
-assert iotram.net.service.RamService is iotram.net.RamService
 namespace = {}
 exec("from iotram import *", namespace)
 for name in ("net", "power", "ram"):
@@ -63,6 +64,7 @@ for name in ("net", "power", "ram"):
 for module in (iotram, iotram.net, iotram.power, iotram.ram):
     for name in module.__all__:
         getattr(module, name)
+assert "iotram.net.service" not in sys.modules
 """
 
 
@@ -77,6 +79,8 @@ def _child(script: str, *args: str) -> subprocess.CompletedProcess:
     "module,forbidden",
     [
         ("iotram.power", ("iotram.net", "iotram.ram", "socket", *NO_RECORD_MACHINERY)),
+        ("iotram.ram", ("iotram.net", "iotram.power", "socket", *NO_RECORD_MACHINERY)),
+        ("iotram.net", ("iotram.net.service", "socket", *NO_RECORD_MACHINERY)),
         ("iotram.cli", ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)),
     ],
 )
@@ -108,11 +112,43 @@ def test_public_names_resolve_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("name", SERVICE_NAMES)
-def test_service_names_are_the_service_objects(name):
-    namespace = {}
-    exec(f"from iotram.net import {name}", namespace)
-    assert namespace[name] is getattr(iotram.net.service, name)
+@pytest.mark.parametrize("package", PACKAGES)
+def test_packages_list_only_their_own_names(package):
+    module = importlib.import_module(package)
+    prefix = package + "."
+    own_modules = [m for name, m in sys.modules.items() if name.startswith(prefix)]
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if hasattr(obj, "__module__"):  # a class, function or enum
+            assert obj.__module__.startswith(prefix), name
+        else:  # a constant: one of the package's modules holds it
+            assert any(getattr(m, name, None) is obj for m in own_modules), name
+
+
+def test_net_has_no_lazy_names():
+    assert not hasattr(iotram.net, "__getattr__")
+    with pytest.raises(ImportError):
+        exec("from iotram.net import RamService", {})
+
+
+def test_service_keeps_only_the_endpoint_names_it_uses():
+    endpoint_names = {"BIND_ENV_VAR", "BadEndpoint", "BindFailure", "DEFAULT_BIND", "parse_endpoint"}
+    used = {"DEFAULT_BIND", "BindFailure", "parse_endpoint"}
+    assert endpoint_names & set(vars(iotram.net.service)) == used
+
+
+# The package-level names that `bench/sweep.py` reads.
+BENCH_PACKAGE_NAMES = [
+    ("iotram.power", "IoStandard"),
+    ("iotram.power", "Rail"),
+    ("iotram.power", "CHANNELS"),
+    ("iotram.power", "DegenerateFit"),
+]
+
+
+@pytest.mark.parametrize("package,name", BENCH_PACKAGE_NAMES)
+def test_names_the_bench_reads_stay_public(package, name):
+    assert name in importlib.import_module(package).__all__
 
 
 # The attributes that `bench/launch.py --trace 1` replaces with span wrappers.
@@ -135,10 +171,8 @@ def test_names_the_bench_tracer_wraps_resolve(module, path):
     assert callable(getattr(owner, name))
 
 
-@pytest.mark.parametrize("name", ENDPOINT_NAMES)
+@pytest.mark.parametrize("name", ["BadEndpoint", "BindFailure", "parse_endpoint"])
 def test_endpoint_names_are_the_endpoint_objects(name):
-    endpoint = importlib.import_module("iotram.net.endpoint")
     namespace = {}
     exec(f"from iotram.net import {name}", namespace)
-    assert namespace[name] is getattr(endpoint, name)
-    assert getattr(iotram.net.service, name) is getattr(endpoint, name)
+    assert namespace[name] is getattr(iotram.net.endpoint, name)

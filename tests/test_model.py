@@ -17,20 +17,22 @@ from iotram.power import model
 from iotram.power import (
     CalibrationDataset,
     DegenerateFit,
-    FitKind,
     IoStandard,
     MissingCell,
-    ModelCoefficients,
     NonPositiveFrequency,
     Rail,
     WlanChannel,
     builtin_dataset,
     energy_per_cycle,
     fit,
-    io_slope_voltage_scaling,
-    max_relative_residuals,
     power_at,
     predict,
+)
+from iotram.power.model import (
+    FitKind,
+    ModelCoefficients,
+    io_slope_voltage_scaling,
+    max_relative_residuals,
 )
 
 FREQS = (0.9, 2.4, 3.6, 5.0, 5.9)
@@ -285,6 +287,7 @@ def test_every_way_to_build_coefficients_makes_read_only_mappings(coeffs):
     builds = (
         ModelCoefficients(*coeffs), ModelCoefficients._make(coeffs), copy.copy(coeffs),
         coeffs._replace(io=dict(coeffs.io), leakage=dict(coeffs.leakage)),
+        pickle.loads(pickle.dumps(coeffs)), copy.deepcopy(coeffs),
     )
     for built in builds:
         assert type(built) is ModelCoefficients and built == coeffs

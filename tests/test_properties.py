@@ -24,19 +24,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotram.power import (
-    CALIBRATION_HEADER,
     DegenerateFit,
-    FitKind,
     MissingCell,
     NonPositiveFrequency,
     PowerBreakdown,
     Rail,
-    RailFit,
     fit,
     power_at,
     predict,
     read_calibration,
 )
+from iotram.power.dataset import CALIBRATION_HEADER
+from iotram.power.model import FitKind, RailFit
 from iotram.ram import InvalidConfig, RamConfig
 from test_golden import run_cli
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotram.ram import InvalidConfig, IotRam, RamConfig, Status, TraceOp, render_outcome
+from iotram.ram import InvalidConfig, IotRam, RamConfig, Status
+from iotram.ram.trace import TraceOp, render_outcome
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 WRONG = int(ipaddress.IPv6Address("2001:db8::2"))
@@ -44,7 +45,7 @@ def test_config_holds_only_depth_and_key():
         assert type(clone) is RamConfig and clone == cfg
 
 
-@pytest.mark.parametrize("module", ["iotram.ram", "iotram.net", "iotram.net.service"])
+@pytest.mark.parametrize("module", ["iotram.ram", "iotram.net.service"])
 def test_one_energy_ledger_class(module):
     # Trace runs and the datagram service tally in the same class.
     core = importlib.import_module("iotram.ram.core")

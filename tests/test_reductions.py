@@ -5,19 +5,21 @@ import math
 import pytest
 
 from iotram.power import (
-    CLAIM_TOLERANCE_PP,
-    DiagnosticCode,
     IoStandard,
     MissingCell,
-    PUBLISHED_IO_COMPARISON,
     Rail,
     WlanChannel,
+    ZeroBase,
     builtin_dataset,
-    check_claims,
-    comparison_matrix,
     reduction,
 )
-from iotram.power.reductions import ZeroBase
+from iotram.power.dataset import DiagnosticCode
+from iotram.power.reductions import (
+    CLAIM_TOLERANCE_PP,
+    PUBLISHED_IO_COMPARISON,
+    check_claims,
+    comparison_matrix,
+)
 
 
 @pytest.fixture(scope="module")

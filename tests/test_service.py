@@ -10,18 +10,14 @@ import pytest
 from iotram.net import (
     BadEndpoint,
     BindFailure,
-    EnergyLedger,
     Opcode,
-    RamService,
-    Status,
     decode_response,
     encode_request,
-    handle_datagram,
-    make_ledger,
     parse_endpoint,
 )
+from iotram.net.service import RamService, handle_datagram, make_ledger
 from iotram.power import IoStandard, WlanChannel, builtin_dataset
-from iotram.ram import IotRam, RamConfig
+from iotram.ram import EnergyLedger, IotRam, RamConfig, Status
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 WRONG = int(ipaddress.IPv6Address("2001:db8::2"))

@@ -6,8 +6,8 @@ import pickle
 
 import pytest
 
-from iotram.power import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
-from iotram.power.standards import channel_at
+from iotram.power import CHANNELS, STANDARDS, IoStandard, Rail, WlanChannel
+from iotram.power.standards import POWER_RAILS, channel_at
 
 
 def test_supply_voltages():

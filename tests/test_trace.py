@@ -7,17 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotram.ram import (
-    EnergyLedger,
-    IotRam,
-    RamConfig,
-    Status,
-    TraceError,
-    TraceOp,
-    parse_trace,
-    render_outcome,
-    run_trace,
-)
+from iotram.ram import EnergyLedger, IotRam, RamConfig, Status, TraceError, parse_trace, run_trace
+from iotram.ram.trace import TraceOp, render_outcome
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 
