@@ -19,6 +19,7 @@ from ..power.standards import IoStandard, WlanChannel
 from ..ram.core import EnergyLedger, IotRam, Status
 from .endpoint import DEFAULT_BIND, BindFailure, parse_endpoint
 from .frames import (
+    REQUEST_LEN,
     MalformedFrame,
     Opcode,
     decode_request,
@@ -101,7 +102,9 @@ class RamService:
         raised."""
         while True:
             try:
-                datagram, peer = self._sock.recvfrom(65536)
+                # A request is REQUEST_LEN bytes; a longer datagram arrives
+                # cut to one byte more, which is still malformed.
+                datagram, peer = self._sock.recvfrom(REQUEST_LEN + 1)
             except OSError:
                 if self._stop.is_set():
                     return

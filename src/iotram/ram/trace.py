@@ -31,42 +31,70 @@ class TraceOp(typing.NamedTuple):
 
 
 def parse_trace(text: str) -> list[TraceOp]:
+    """The ops of a trace text, in order; TraceError for the first bad line.
+
+    Each line is split once: `str.split()` drops the blanks that `strip()`
+    would, and `w` and `r` are the only code points besides `W` and `R`
+    that upper-case to them. A line the loop does not take whole goes to
+    `_line_error`, which says why; only that path builds message text."""
     ops = []
     append = ops.append
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    new = tuple.__new__
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
         parts = line.split()
-        op = parts[0].upper()
-        if op == "W":
-            if len(parts) != 3:
-                raise TraceError(lineno, f"write needs '<addr> <hex32>', got {line!r}")
-            addr = _parse_addr(lineno, parts[1])
-            try:
-                data = int(parts[2], 16)
-            except ValueError:
-                raise TraceError(lineno, f"bad hex data {parts[2]!r}") from None
-            if not 0 <= data <= WORD_MASK:
-                raise TraceError(lineno, f"data {parts[2]!r} exceeds 32 bits")
-            append(TraceOp(lineno, True, addr, data))
-        elif op == "R":
-            if len(parts) != 2:
-                raise TraceError(lineno, f"read needs '<addr>', got {line!r}")
-            append(TraceOp(lineno, False, _parse_addr(lineno, parts[1])))
-        else:
-            raise TraceError(lineno, f"unknown op {parts[0]!r} (expected W or R)")
+        n = len(parts)
+        try:
+            if n == 3:
+                op, addr, data = parts
+                if op == "W" or op == "w":
+                    addr = int(addr)
+                    data = int(data, 16)
+                    if addr >= 0 and 0 <= data <= WORD_MASK:
+                        append(new(TraceOp, (lineno, True, addr, data)))
+                        continue
+            elif n == 2:
+                op, addr = parts
+                if op == "R" or op == "r":
+                    addr = int(addr)
+                    if addr >= 0:
+                        append(new(TraceOp, (lineno, False, addr, None)))
+                        continue
+            elif not n:
+                continue
+        except ValueError:
+            pass
+        raise _line_error(lineno, line)
     return ops
 
 
-def _parse_addr(lineno: int, text: str) -> int:
+def _line_error(lineno: int, line: str) -> TraceError:
+    """The first rule a line breaks, checked in the order a well-formed line
+    is read; `line` is the text before any `#`."""
+    line = line.strip()
+    parts = line.split()
+    op = parts[0].upper()
+    if op == "W":
+        if len(parts) != 3:
+            return TraceError(lineno, f"write needs '<addr> <hex32>', got {line!r}")
+    elif op == "R":
+        if len(parts) != 2:
+            return TraceError(lineno, f"read needs '<addr>', got {line!r}")
+    else:
+        return TraceError(lineno, f"unknown op {parts[0]!r} (expected W or R)")
     try:
-        addr = int(text, 10)
+        addr = int(parts[1], 10)
     except ValueError:
-        raise TraceError(lineno, f"bad decimal address {text!r}") from None
+        return TraceError(lineno, f"bad decimal address {parts[1]!r}")
     if addr < 0:
-        raise TraceError(lineno, f"negative address {addr}")
-    return addr
+        return TraceError(lineno, f"negative address {addr}")
+    # Only a write gets here: a read with a good address is well formed.
+    try:
+        int(parts[2], 16)
+    except ValueError:
+        return TraceError(lineno, f"bad hex data {parts[2]!r}")
+    return TraceError(lineno, f"data {parts[2]!r} exceeds 32 bits")
 
 
 def run_trace(

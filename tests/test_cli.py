@@ -1,5 +1,6 @@
 """CLI subcommands, output formats, and the exit-code contract."""
 
+import gc
 import io
 import json
 import os
@@ -318,6 +319,23 @@ def test_ram_run_malformed_trace(capsys, tmp_path):
     code, _, err = run(capsys, "ram-run", "--trace", str(trace))
     assert code == EXIT_VALIDATION
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("text,want", [("W 0 1\nR 0\n", EXIT_OK), ("R 0\nW 0\n", EXIT_VALIDATION)])
+def test_ram_run_leaves_the_cyclic_collector_as_it_found_it(capsys, tmp_path, text, want):
+    # ram-run pauses the collector while it runs a trace, also when the
+    # trace is rejected half way, and must restore it either way.
+    trace = tmp_path / "ops.trace"
+    trace.write_text(text)
+    try:
+        gc.disable()
+        assert run(capsys, "ram-run", "--trace", str(trace))[0] == want
+        assert not gc.isenabled()
+        gc.enable()
+        assert run(capsys, "ram-run", "--trace", str(trace))[0] == want
+        assert gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_ram_run_bad_depth(capsys, tmp_path):

@@ -153,9 +153,11 @@ def test_names_the_bench_reads_stay_public(package, name):
 
 # The attributes that `bench/launch.py --trace 1` replaces with span wrappers.
 BENCH_WRAPPED = [
+    ("iotram.cli", "builtin_dataset"),
+    ("iotram.cli", "parse_trace"),
+    ("iotram.cli", "run_trace"),
     ("iotram.cli", "power_at"),
     ("iotram.cli", "energy_per_cycle"),
-    ("iotram.cli", "run_trace"),
     ("iotram.net.service", "power_at"),
     ("iotram.net.service", "energy_per_cycle"),
     ("iotram.net.service", "EnergyLedger.record"),
@@ -169,6 +171,40 @@ def test_names_the_bench_tracer_wraps_resolve(module, path):
     for part in outer:
         owner = getattr(owner, part)
     assert callable(getattr(owner, name))
+
+
+def test_priced_ram_run_calls_what_the_bench_tracer_wraps(tmp_path, monkeypatch, capsys):
+    # A wrapper only sees calls made through the attribute it replaces: the
+    # CLI must look these up as module names at call time, and `run_trace`
+    # must reach the RAM and the ledger through their methods, once per op.
+    import iotram.cli as cli
+    from iotram.ram.core import EnergyLedger, IotRam
+
+    calls = {}
+
+    def count_calls(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for module, name in BENCH_WRAPPED:
+        if module == "iotram.cli":
+            count_calls(cli, name)
+    for owner, name in ((IotRam, "read"), (IotRam, "write"), (EnergyLedger, "record")):
+        count_calls(owner, name)
+    trace = tmp_path / "ops.trace"
+    trace.write_text("W 0 1\nR 0\nR 999\nW 1 2\nR 1\n", encoding="utf-8")
+    argv = ["ram-run", "--trace", str(trace), "--standard", "LVCMOS12", "--channel", "2.4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 7
+    assert calls == {
+        "builtin_dataset": 1, "parse_trace": 1, "run_trace": 1, "power_at": 1,
+        "energy_per_cycle": 1, "read": 3, "write": 2, "record": 5,
+    }
 
 
 @pytest.mark.parametrize("name", ["BadEndpoint", "BindFailure", "parse_endpoint"])

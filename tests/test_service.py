@@ -198,6 +198,30 @@ def test_udp_round_trip(ram):
     assert svc.ledger.ops_total == 5
 
 
+@pytest.mark.parametrize("extra", [1, 2, 65507 - 30])
+def test_an_overlong_datagram_is_malformed_without_a_cycle(ram, extra):
+    # A valid request with bytes after it, up to the largest UDP payload over
+    # IPv4: the loop receives at most one byte past a request, which must
+    # neither make it valid nor salvage its sequence number.
+    svc, thread = _start(ram)
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.settimeout(5.0)
+            request = encode_request(Opcode.WRITE, KEY, 3, 0xFEED, 77)
+            sock.sendto(request + b"\x00" * extra, svc.address)
+            resp = decode_response(sock.recvfrom(64)[0])
+            assert resp.status is Status.MALFORMED and resp.seq == 0 and resp.data == 0
+            sock.sendto(encode_request(Opcode.READ, KEY, 3, 0, 78), svc.address)
+            resp = decode_response(sock.recvfrom(64)[0])
+            assert resp.status is Status.OK and resp.data == 0 and resp.seq == 78
+    finally:
+        svc.close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert svc.ledger.ops_by_status == {Status.MALFORMED: 1, Status.OK: 1}
+    assert svc.ledger.cycles == ram.cycle_count == 1
+
+
 def _loop_in_thread(svc):
     """Run serve_forever in a thread; the list receives what it raised."""
     raised = []

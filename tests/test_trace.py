@@ -1,12 +1,16 @@
-"""Trace parsing and execution, with a property that checks both against a
-dict model over generated trace texts."""
+"""Trace parsing and execution, with properties that check both, and the
+text `ram-run` prints for them, against a dict model over generated trace
+texts."""
 
+import contextlib
+import io
 import ipaddress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iotram.cli import EXIT_OK, EXIT_VALIDATION, main
 from iotram.ram import EnergyLedger, IotRam, RamConfig, Status, TraceError, parse_trace, run_trace
 from iotram.ram.trace import TraceOp, render_outcome
 
@@ -49,6 +53,36 @@ def test_parse_rejects(line, fragment):
     assert err.value.lineno == 2
     assert fragment in str(err.value)
     assert "line 2" in str(err.value)
+
+
+#: Lines parse_trace rejects, each written the way the parser sees it, with
+#: the message that follows "line N: ". A message quotes the line without its
+#: comment and surrounding blanks.
+_BAD_MESSAGES = {
+    "W 5": "write needs '<addr> <hex32>', got 'W 5'",
+    "W 5 11 22": "write needs '<addr> <hex32>', got 'W 5 11 22'",
+    "R": "read needs '<addr>', got 'R'",
+    "R 1 2": "read needs '<addr>', got 'R 1 2'",
+    "X 1": "unknown op 'X' (expected W or R)",
+    "W zz FF": "bad decimal address 'zz'",
+    "W 0x10 FF": "bad decimal address '0x10'",
+    "W -3 FF": "negative address -3",
+    "W 1 GG": "bad hex data 'GG'",
+    "W 1 1FFFFFFFF": "data '1FFFFFFFF' exceeds 32 bits",
+    "W 1 0x": "bad hex data '0x'",
+    "R banana": "bad decimal address 'banana'",
+    "R -1": "negative address -1",
+    "R 1.5": "bad decimal address '1.5'",
+    "WR 1": "unknown op 'WR' (expected W or R)",
+}
+
+
+@pytest.mark.parametrize("line", list(_BAD_MESSAGES))
+def test_a_rejected_line_is_quoted_without_its_indent_and_note(line):
+    with pytest.raises(TraceError) as err:
+        parse_trace("# pad\n" + " \t" + line + "  # note\n")
+    assert err.value.lineno == 2
+    assert str(err.value) == "line 2: " + _BAD_MESSAGES[line]
 
 
 def test_run_trace_counts():
@@ -103,18 +137,16 @@ DEPTH = 64
 WRONG = KEY ^ 1
 
 _SEP = st.sampled_from([" ", "  ", "\t"])
-# Mostly a few hot words, so that reads see earlier writes.
+# Mostly a few hot words, so that reads see earlier writes; 10**20 makes a
+# write's text, and 10**23 a read's, wider than the 24 columns ram-run pads to.
 _ADDR = st.one_of(
     st.integers(0, 3), st.integers(0, 3), st.integers(0, DEPTH + 8),
-    st.sampled_from([10**12, 2**32 - 1]),
+    st.sampled_from([10**12, 2**32 - 1, 10**20, 10**23]),
 )
 _NOTE = st.sampled_from(["", "", "", "  # note", "#tight", "\t# tab"])
 _IGNORED = st.sampled_from(["", "   ", "\t", "# comment", "  # indented comment"])
-#: Lines parse_trace rejects, each written the way the parser sees it.
-_BAD = st.sampled_from([
-    "W 5", "W 5 11 22", "R", "R 1 2", "X 1", "W zz FF", "W 0x10 FF", "W -3 FF",
-    "W 1 GG", "W 1 1FFFFFFFF", "W 1 0x", "R banana", "R -1", "R 1.5", "WR 1",
-])
+#: Lines parse_trace rejects.
+_BAD = st.sampled_from(list(_BAD_MESSAGES))
 
 
 @st.composite
@@ -213,3 +245,54 @@ def test_parse_and_run_match_a_dict_model(trace, key_ok):
     assert ledger.ops_total == ledger.cycles == len(want_results)
     assert ram.cycle_count == len(want_results)
     assert ram.last_dout == last_dout
+
+
+# ------------------------------------------------------- ram-run, as printed
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ram-run") / "ops.trace"
+
+
+def _printed(results: list, tally: dict) -> str:
+    """What `ram-run` prints for the model's results, unpriced: each line
+    written as an f-string with the outcome word from `render_outcome`, then
+    the tally line."""
+    lines, writes = [], 0
+    for fields, status, data in results:
+        op = TraceOp(*fields)
+        if op.is_write:
+            mnemonic = f"W {op.addr} {op.data:08X}"
+            writes += status is Status.OK
+        else:
+            mnemonic = f"R {op.addr}"
+        lines.append(f"{op.lineno:>5}  {mnemonic:<24} -> {render_outcome(op, status, data)}\n")
+    reads = tally.get(Status.OK, 0) - writes
+    lines.append(
+        f"cycles={len(results)} writes={writes} reads={reads} "
+        f"auth_fails={tally.get(Status.AUTH_FAIL, 0)} "
+        f"range_errors={tally.get(Status.ADDR_RANGE, 0)}\n"
+    )
+    return "".join(lines)
+
+
+@settings(max_examples=150)
+@given(trace=trace_texts(), key_ok=st.booleans())
+def test_ram_run_prints_the_model_byte_for_byte(trace_path, trace, key_ok):
+    text, meanings = trace
+    bad_lineno, want = _model(meanings, key_ok)
+    trace_path.write_bytes(text.encode("utf-8"))
+    argv = ["ram-run", "--trace", str(trace_path), "--depth", str(DEPTH)]
+    if not key_ok:
+        argv += ["--key", f"{WRONG:x}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if bad_lineno is not None:
+        assert (code, out.getvalue()) == (EXIT_VALIDATION, ""), text
+        assert err.getvalue().startswith(f"iotram: malformed trace: line {bad_lineno}: ")
+        return
+    results, tally, _ = want
+    assert (code, err.getvalue()) == (EXIT_OK, "")
+    assert out.getvalue() == _printed(results, tally)
