@@ -17,7 +17,7 @@ import types
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
+from .standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel, channel_at
 
 #: Printed totals round per-rail; a stored total may differ from the rail sum
 #: by up to this many watts.
@@ -232,6 +232,8 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
     strictly increase with supply voltage at a fixed channel (clock, signal
     and BRAM are bank-independent, so only those two rails are checked).
     """
+    if _clean(ds):
+        return []
     out: list[Diagnostic] = []
     cells = ds.cells
     rows = [
@@ -288,27 +290,80 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
     return out
 
 
+def _clean(ds: CalibrationDataset) -> bool:
+    """True when the grid breaks none of the rules `validate_dataset` checks,
+    found in one sweep over the cells as tuples: each row sum, added in the
+    order of `row_sum_error_w`, every field rising along each standard's
+    channels, and io and total rising along each channel's standards. It
+    makes the walk's comparisons, so it is True only when the walk would
+    find nothing; the walk alone phrases a finding."""
+    cells = ds.cells
+    stds, chs = ds._standards, ds._channels
+    tol = ROW_SUM_TOLERANCE_W
+    for std in stds:
+        prev = None
+        for ch in chs:
+            cell = cells.get((std, ch))
+            if cell is None:
+                continue
+            c, s, b, i, l, t = cell
+            if abs(t - (c + s + b + i + l)) > tol:
+                return False
+            if prev is not None:
+                c0, s0, b0, i0, l0, t0 = prev
+                if not (c0 < c and s0 < s and b0 < b and i0 < i and l0 < l and t0 < t):
+                    return False
+            prev = cell
+    for ch in chs:
+        prev = None
+        for std in stds:
+            cell = cells.get((std, ch))
+            if cell is None:
+                continue
+            if prev is not None and not (prev[3] < cell[3] and prev[5] < cell[5]):
+                return False
+            prev = cell
+    return True
+
+
 CALIBRATION_HEADER = "standard,channel_ghz,clock_w,signal_w,bram_w,io_w,leakage_w,total_w"
 
 
 def write_calibration(ds: CalibrationDataset) -> str:
-    """Render a grid in the flat calibration text format (header + one line per cell)."""
+    """Render a grid in the flat calibration text format (header + one line
+    per cell). A value is printed to the milliwatt, as the published tables
+    are, when that text reads back as the same float, and by `repr` when it
+    does not, so `read_calibration` gives back the same cells."""
     lines = [CALIBRATION_HEADER]
     for std in ds.standards():
         for ch in ds.channels():
             cell = ds.cells.get((std, ch))
             if cell is None:
                 continue
-            lines.append(
-                f"{std.name},{ch.carrier_ghz},{cell.clock_w:.3f},{cell.signal_w:.3f},"
-                f"{cell.bram_w:.3f},{cell.io_w:.3f},{cell.leakage_w:.3f},{cell.total_w:.3f}"
-            )
+            lines.append(f"{std.name},{ch.carrier_ghz}," + ",".join(map(_value_text, cell)))
     return "\n".join(lines) + "\n"
+
+
+def _value_text(value: float) -> str:
+    text = f"{value:.3f}"
+    return text if float(text) == value else repr(value)
+
+
+#: Standards by their exact names, the spelling `write_calibration` uses.
+_STANDARDS_BY_NAME = {std.name: std for std in IoStandard}
 
 
 def read_calibration(text: str, provenance: str = "user") -> CalibrationDataset:
     """Parse the flat calibration format. Raises ValueError on malformed
-    content, naming its line as counted with comment and blank lines."""
+    content, naming its line as counted with comment and blank lines.
+
+    Each data line is stripped and split once, and `float()` reads the raw
+    fields: it accepts the blanks `str.strip()` removes, except U+001C to
+    U+001F. A standard spelled exactly is found in a dict, others by
+    `IoStandard.parse`. A line the loop does not take whole, such as one
+    with U+001F around a number, goes to `_parse_cell`, which reads its
+    stripped fields by the rules in their order; only that path builds
+    message text."""
     lines = enumerate(text.splitlines(), start=1)
     for _, raw in lines:
         line = raw.strip()
@@ -319,24 +374,46 @@ def read_calibration(text: str, provenance: str = "user") -> CalibrationDataset:
     else:
         raise ValueError("empty calibration file")
     cells: dict[tuple[IoStandard, WlanChannel], PowerBreakdown] = {}
+    by_name = _STANDARDS_BY_NAME
     for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 8:
-            raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        parts = line.split(",")
         try:
-            std = IoStandard.parse(parts[0])
-            ch = WlanChannel.from_ghz(float(parts[1]))
-            cell = PowerBreakdown(*map(float, parts[2:]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            name, ghz, clock, signal, bram, io, leakage, total = parts
+            std = by_name.get(name)
+            if std is None:
+                std = IoStandard.parse(name)
+            ch = channel_at(float(ghz))
+            cell = PowerBreakdown(
+                float(clock), float(signal), float(bram), float(io), float(leakage), float(total)
+            )
+        except ValueError:
+            ch = None
+        if ch is None:
+            std, ch, cell = _parse_cell(lineno, parts)
         key = (std, ch)
         if key in cells:
             raise ValueError(f"line {lineno}: duplicate cell ({std.name}, {ch.carrier_ghz})")
         cells[key] = cell
     return CalibrationDataset(cells=cells, provenance=provenance)
+
+
+def _parse_cell(lineno: int, parts: list[str]) -> tuple[IoStandard, WlanChannel, PowerBreakdown]:
+    """A data line's standard, channel and cell, read from its stripped
+    fields in the order a well-formed line is checked, or a ValueError
+    naming the first rule it breaks."""
+    parts = [p.strip() for p in parts]
+    if len(parts) != 8:
+        raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+    try:
+        std = IoStandard.parse(parts[0])
+        ch = WlanChannel.from_ghz(float(parts[1]))
+        cell = PowerBreakdown(*map(float, parts[2:]))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return std, ch, cell
 
 
 def load_calibration_file(path: str) -> CalibrationDataset:

@@ -62,13 +62,20 @@ def reduction(
     ch: WlanChannel,
 ) -> ReductionReport:
     """Percent saved on one rail when alt_std replaces base_std at a channel."""
-    base = ds.lookup(base_std, ch).rail(rail)
-    alt = ds.lookup(alt_std, ch).rail(rail)
+    cells = ds.cells
+    base_cell = cells.get((base_std, ch))
+    alt_cell = cells.get((alt_std, ch))
+    if base_cell is None or alt_cell is None:
+        # `lookup` raises the MissingCell that names the first one absent.
+        ds.lookup(base_std, ch)
+        ds.lookup(alt_std, ch)
+    base = getattr(base_cell, rail.field)
+    alt = getattr(alt_cell, rail.field)
     if base <= 0 or not math.isfinite(alt / base):
         raise ZeroBase(
             f"{rail.name.lower()} base for {base_std.name} at {ch.carrier_ghz} GHz is {base}"
         )
-    return ReductionReport(rail, base_std, alt_std, ch, base, alt)
+    return tuple.__new__(ReductionReport, (rail, base_std, alt_std, ch, base, alt))
 
 
 # The published IO comparison table, transcribed as printed. Its 2.4 GHz

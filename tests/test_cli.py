@@ -80,6 +80,17 @@ def test_table_from_file(capsys, tmp_path):
     assert "4.849" in out
 
 
+def test_table_csv_of_a_finer_file_reads_back_exactly(capsys, tmp_path):
+    # Values the milliwatt format would round are written by repr instead.
+    path = tmp_path / "grid.csv"
+    path.write_text(CALIBRATION_HEADER + "\nLVCMOS12,2.4,0.1612,0.091,3.062,0.160,1.374,4.8492\n")
+    code, out, _ = run(capsys, "table", "--input", str(path), "--standard", "LVCMOS12",
+                       "--channel", "2.4", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "LVCMOS12,2.4,0.1612,0.091,3.062,0.160,1.374,4.8492"
+    assert read_calibration(out).cells == read_calibration(path.read_text()).cells
+
+
 def test_table_incomplete_file_cell(capsys, tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text(

@@ -7,9 +7,12 @@ reader rejects is refused at the physical line of its first bad value, and
 every text it accepts either fits with finite coefficients, and then prices
 every off-grid frequency as that fit predicts, or raises one of the fit's
 documented errors. The fit is also held to a reference written here, the
-pooled series summed with `sum()`, to the bit. A checked record (a
-`PowerBreakdown`, `RailFit` or `RamConfig`) accepts and rejects the same
-fields, with the same message, however it is built. Example counts are
+pooled series summed with `sum()`, to the bit, and the reader and the grid
+check to their first versions, copied here: the same cells or error text
+for texts written loosely, and the same diagnostics for perturbed grids. A
+grid of any finite non-negative floats reads back from its CSV exactly. A
+checked record (a `PowerBreakdown`, `RailFit` or `RamConfig`) accepts and
+rejects the same fields, with the same message, however it is built. Example counts are
 fixed, and the profile in conftest.py derandomizes every property test and
 lifts its deadline, so the run time is bounded and nothing depends on timing.
 """
@@ -24,18 +27,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotram.power import (
+    CHANNELS,
+    STANDARDS,
+    CalibrationDataset,
     DegenerateFit,
+    IoStandard,
     MissingCell,
     NonPositiveFrequency,
     PowerBreakdown,
     Rail,
+    WlanChannel,
+    builtin_dataset,
     fit,
     power_at,
     predict,
     read_calibration,
+    validate_dataset,
+    write_calibration,
 )
-from iotram.power.dataset import CALIBRATION_HEADER
+from iotram.power.dataset import (
+    CALIBRATION_HEADER,
+    ROW_SUM_TOLERANCE_W,
+    Diagnostic,
+    DiagnosticCode,
+)
 from iotram.power.model import FitKind, RailFit
+from iotram.power.standards import POWER_RAILS
 from iotram.ram import InvalidConfig, RamConfig
 from test_golden import run_cli
 
@@ -283,6 +300,248 @@ def test_fit_matches_the_pooled_series_reference_to_the_bit(text):
     assert {name: _bits(rf) for name, rf in got.items()} == {
         name: _bits(rf) for name, rf in want.items()
     }
+
+
+# The reader as first written, before its one-pass loop: every field
+# stripped, the standard through `IoStandard.parse` and the channel through
+# `WlanChannel.from_ghz`. It is the oracle for every text, taken or refused.
+def _reference_read_calibration(text: str) -> CalibrationDataset:
+    lines = enumerate(text.splitlines(), start=1)
+    for _, raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if line.replace(" ", "") != CALIBRATION_HEADER:
+                raise ValueError(f"bad calibration header: {line!r}")
+            break
+    else:
+        raise ValueError("empty calibration file")
+    cells = {}
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 8:
+            raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        try:
+            std = IoStandard.parse(parts[0])
+            ch = WlanChannel.from_ghz(float(parts[1]))
+            cell = PowerBreakdown(*map(float, parts[2:]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        key = (std, ch)
+        if key in cells:
+            raise ValueError(f"line {lineno}: duplicate cell ({std.name}, {ch.carrier_ghz})")
+        cells[key] = cell
+    return CalibrationDataset(cells=cells)
+
+
+#: Blanks around a field, mostly none: those `str.strip()` and `float()`
+#: both take, and U+001F, which `str.strip()` takes and `float()` refuses.
+_BLANK = st.sampled_from([""] * 30 + [" ", "\t", "　", " \t ", "\xa0", "\x1f"])
+#: Each field as the reader takes it, and as it refuses it. Standards come
+#: in other spellings, carriers written another way or within 1e-9 GHz of
+#: 3.6, and values that `float()` reads unusually.
+_TAKEN_STANDARDS = ["LVCMOS12", "LVCMOS25", "lvcmos12", "LVCMOS_15", " LVCMOS 18", "LvCmOs25"]
+_REFUSED_STANDARDS = ["LVCMOS33", ""]
+_TAKEN_CHANNELS = ["0.9", "2.4", "2.40", " 2.4", "5.9", "3.6000000001"]
+_REFUSED_CHANNELS = ["3.600000002", "nan", "7.0", "x", ""]
+_TAKEN_VALUES = ["1_0", "-0.0", "0", "٣.5"]
+_REFUSED_VALUES = ["1e309", "-1", "nan", "1__0", "x", ""]
+
+
+@st.composite
+def loose_calibration_texts(draw) -> str:
+    """Texts a person might write: fields with blanks around them, standards,
+    carriers and values written unusually, repeated cells, and comment and
+    blank lines anywhere. In half the texts every field is one the reader
+    takes, so that later lines and repeated cells are reached; in the other
+    half any field may be refused, and a line may have 7 or 9 fields."""
+    refused = draw(st.booleans())
+    standards = st.sampled_from(_TAKEN_STANDARDS + _REFUSED_STANDARDS * refused)
+    channels = st.sampled_from(_TAKEN_CHANNELS + _REFUSED_CHANNELS * refused)
+    values = st.one_of(
+        _WATTS.map(repr), _WATTS.map("{:.3f}".format),
+        st.sampled_from(_TAKEN_VALUES + _REFUSED_VALUES * refused),
+    )
+    widths = st.sampled_from([6, 6, 6, 6, 5, 7] if refused else [6])
+    lines = [draw(st.sampled_from([CALIBRATION_HEADER, " " + CALIBRATION_HEADER.replace(",", ", ")]))]
+    for _ in range(draw(st.integers(0, 6))):
+        fields = [draw(standards), draw(channels)]
+        fields += [draw(values) for _ in range(draw(widths))]
+        lines.append(",".join(draw(_BLANK) + f + draw(_BLANK) for f in fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(lines[-1])
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_IGNORED))
+    return "\n".join(lines) + "\n"
+
+
+def _cell_bits(ds) -> list:
+    """A grid's cells in order, each value to the bit (-0.0 is not 0.0)."""
+    return [(key, tuple(map(float.hex, cell))) for key, cell in ds.cells.items()]
+
+
+def _read_outcome(read, text):
+    """The cells a reader gives, or its error."""
+    try:
+        return _cell_bits(read(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(loose_calibration_texts(), calibration_texts()))
+def test_read_calibration_agrees_with_the_field_by_field_reader(text):
+    assert _read_outcome(read_calibration, text) == _read_outcome(_reference_read_calibration, text)
+
+
+# The check as first written, before its clean-grid sweep: the oracle for
+# every diagnostic, its text and its place in the list.
+def _reference_validate(ds) -> list[Diagnostic]:
+    out = []
+    cells = ds.cells
+    rows = [
+        (std, [(ch, cell) for ch in ds.channels() if (cell := cells.get((std, ch))) is not None])
+        for std in ds.standards()
+    ]
+    for std, row in rows:
+        for ch, cell in row:
+            if cell.row_sum_error_w > ROW_SUM_TOLERANCE_W:
+                out.append(Diagnostic(
+                    DiagnosticCode.ROW_SUM,
+                    f"rails sum to {cell.rail_sum_w:.3f} W but total is "
+                    f"{cell.total_w:.3f} W (tolerance {ROW_SUM_TOLERANCE_W} W)",
+                    f"({std.name}, {ch.carrier_ghz} GHz)",
+                ))
+    for std, row in rows:
+        for rail in POWER_RAILS + (Rail.TOTAL,):
+            for (ch_a, cell_a), (ch_b, cell_b) in zip(row, row[1:]):
+                w_a, w_b = getattr(cell_a, rail.field), getattr(cell_b, rail.field)
+                if w_b <= w_a:
+                    out.append(Diagnostic(
+                        DiagnosticCode.MONOTONIC_FREQ,
+                        f"{rail.name.lower()} does not increase with frequency: "
+                        f"{w_a:.3f} W at {ch_a.carrier_ghz} GHz vs "
+                        f"{w_b:.3f} W at {ch_b.carrier_ghz} GHz",
+                        f"({std.name}, {rail.name.lower()})",
+                    ))
+    for ch in ds.channels():
+        column = [(std, cell) for std in ds.standards() if (cell := cells.get((std, ch))) is not None]
+        for rail in (Rail.IO, Rail.TOTAL):
+            for (std_a, cell_a), (std_b, cell_b) in zip(column, column[1:]):
+                w_a, w_b = getattr(cell_a, rail.field), getattr(cell_b, rail.field)
+                if w_b <= w_a:
+                    out.append(Diagnostic(
+                        DiagnosticCode.MONOTONIC_VOLT,
+                        f"{rail.name.lower()} does not increase with supply voltage: "
+                        f"{w_a:.3f} W for {std_a.name} vs "
+                        f"{w_b:.3f} W for {std_b.name}",
+                        f"({ch.carrier_ghz} GHz, {rail.name.lower()})",
+                    ))
+    return out
+
+
+#: "equal" is listed thrice: a tie is the finding the sweep may most easily miss.
+_PERTURBATIONS = ("equal", "equal", "equal", "swap", "row_sum", "row_sum_past", "drop", "single")
+
+
+def _edge_total(rail_sum: float, sign: float) -> float:
+    """The total farthest from `rail_sum` on one side that the 5 mW check
+    still passes, as it subtracts: at most one ulp from `rail_sum` plus or
+    minus the tolerance."""
+    total = rail_sum + sign * ROW_SUM_TOLERANCE_W
+    while abs(total - rail_sum) > ROW_SUM_TOLERANCE_W:
+        total = math.nextafter(total, rail_sum)
+    while abs((past := math.nextafter(total, sign * math.inf)) - rail_sum) <= ROW_SUM_TOLERANCE_W:
+        total = past
+    return total
+
+
+@st.composite
+def perturbed_builtin_grids(draw) -> CalibrationDataset:
+    """The builtin grid, in some draws scaled down so that the 5 mW
+    tolerance spans neighbouring totals, with up to three changes: a field
+    set equal to its neighbour's along the channels or the standards (a rail
+    with the total re-summed in some), two cells swapped, a total at the
+    edge of the 5 mW tolerance or one ulp past it, a cell dropped, or the
+    grid cut to one standard or one channel."""
+    scale = draw(st.sampled_from([1.0, 0.01, 0.001]))
+    cells = {key: PowerBreakdown(*(v * scale for v in cell))
+             for key, cell in builtin_dataset().cells.items()}
+    for kind in draw(st.lists(st.sampled_from(_PERTURBATIONS), max_size=3)):
+        key = draw(st.sampled_from(list(cells)))
+        std, ch = key
+        cell = cells[key]
+        if kind == "equal":
+            i, j = STANDARDS.index(std), CHANNELS.index(ch)
+            other = draw(st.sampled_from([
+                (STANDARDS[(i + 1) % len(STANDARDS)], ch), (std, CHANNELS[(j + 1) % len(CHANNELS)]),
+            ]))
+            if other in cells:
+                field = draw(st.sampled_from(BREAKDOWN_FIELDS))
+                cell = cell._replace(**{field: getattr(cells[other], field)})
+                if field != "total_w" and draw(st.booleans()):
+                    cell = cell._replace(total_w=cell.rail_sum_w)
+                cells[key] = cell
+        elif kind == "swap":
+            other = draw(st.sampled_from(list(cells)))
+            cells[key], cells[other] = cells[other], cell
+        elif kind in ("row_sum", "row_sum_past"):
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            total = _edge_total(cell.rail_sum_w, sign)
+            if kind == "row_sum_past":
+                total = math.nextafter(total, sign * math.inf)
+            cells[key] = cell._replace(total_w=max(total, 0.0))
+        elif kind == "drop" and len(cells) > 1:
+            del cells[key]
+        elif kind == "single":
+            axis = draw(st.integers(0, 1))
+            cells = {k: v for k, v in cells.items() if k[axis] is key[axis]}
+    return CalibrationDataset(cells)
+
+
+@settings(max_examples=500)
+@given(ds=perturbed_builtin_grids())
+def test_validate_dataset_agrees_with_the_walk_it_replaced(ds):
+    assert validate_dataset(ds) == _reference_validate(ds)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.01, 0.001])
+def test_validate_dataset_agrees_at_the_edge_of_the_row_sum_tolerance(scale):
+    # Each cell of the scaled builtin grid in turn, its total at the edge of
+    # the tolerance and one ulp past it, on both sides.
+    base = {key: PowerBreakdown(*(v * scale for v in cell))
+            for key, cell in builtin_dataset().cells.items()}
+    for key, cell in base.items():
+        for sign in (1.0, -1.0):
+            edge = _edge_total(cell.rail_sum_w, sign)
+            for total in (edge, math.nextafter(edge, sign * math.inf)):
+                if total >= 0:
+                    ds = CalibrationDataset({**base, key: cell._replace(total_w=total)})
+                    assert validate_dataset(ds) == _reference_validate(ds), (key, total)
+
+
+#: Finite, non-negative floats, with the values the milliwatt format used
+#: to round and the extremes drawn often.
+_GRID_VALUES = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 0.1612, 4.8492, 1e300, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=100)
+@given(
+    keys=st.lists(st.tuples(st.sampled_from(STANDARDS), st.sampled_from(CHANNELS)), unique=True),
+    data=st.data(),
+)
+def test_written_grids_read_back_exactly(keys, data):
+    ds = CalibrationDataset({
+        key: PowerBreakdown(*data.draw(st.tuples(*[_GRID_VALUES] * 6))) for key in keys
+    })
+    again = read_calibration(write_calibration(ds))
+    assert again.cells == ds.cells
+    assert dict(_cell_bits(again)) == dict(_cell_bits(ds))
 
 
 # Field values for the checked records: any float, and the edges of each

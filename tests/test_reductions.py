@@ -5,6 +5,9 @@ import math
 import pytest
 
 from iotram.power import (
+    CHANNELS,
+    STANDARDS,
+    CalibrationDataset,
     IoStandard,
     MissingCell,
     Rail,
@@ -17,6 +20,7 @@ from iotram.power.dataset import DiagnosticCode
 from iotram.power.reductions import (
     CLAIM_TOLERANCE_PP,
     PUBLISHED_IO_COMPARISON,
+    ReductionReport,
     check_claims,
     comparison_matrix,
 )
@@ -90,6 +94,48 @@ def test_reduction_zero_base(ds):
             reduction(
                 zeroed, Rail.IO, IoStandard.LVCMOS25, IoStandard.LVCMOS12, WlanChannel.GHZ_0_9
             )
+
+
+_12, _25, _0_9 = IoStandard.LVCMOS12, IoStandard.LVCMOS25, WlanChannel.GHZ_0_9
+
+
+@pytest.mark.parametrize(
+    "dropped,message",
+    [
+        ([(_25, _0_9)], "no cell for (LVCMOS25, 0.9 GHz)"),
+        ([(_12, _0_9)], "no cell for (LVCMOS12, 0.9 GHz)"),
+        ([(_12, _0_9), (_25, _0_9)], "no cell for (LVCMOS25, 0.9 GHz)"),
+    ],
+    ids=["base", "alt", "both"],
+)
+def test_reduction_on_a_partial_grid_names_the_base_cell_first(ds, dropped, message):
+    partial = CalibrationDataset({k: v for k, v in ds.cells.items() if k not in dropped})
+    with pytest.raises(MissingCell) as err:
+        reduction(partial, Rail.IO, _25, _12, _0_9)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("base_w", [0.0, 5e-324])
+def test_reduction_zero_base_message(ds, base_w):
+    cells = dict(ds.cells)
+    cells[(_25, _0_9)] = cells[(_25, _0_9)]._replace(leakage_w=base_w)
+    with pytest.raises(ZeroBase) as err:
+        reduction(CalibrationDataset(cells), Rail.LEAKAGE, _25, _12, _0_9)
+    assert str(err.value) == f"leakage base for LVCMOS25 at 0.9 GHz is {base_w}"
+
+
+def test_reduction_report_equals_the_class_call(ds):
+    for rail in Rail:
+        for ch in CHANNELS:
+            for base_std in STANDARDS:
+                for alt_std in STANDARDS:
+                    got = reduction(ds, rail, base_std, alt_std, ch)
+                    want = ReductionReport(
+                        rail, base_std, alt_std, ch,
+                        ds.lookup(base_std, ch).rail(rail), ds.lookup(alt_std, ch).rail(rail),
+                    )
+                    assert type(got) is ReductionReport
+                    assert got == want and got.render() == want.render()
 
 
 def test_render_mentions_both_standards(ds):
