@@ -35,7 +35,7 @@ from .power.model import (
     power_at,
     predict,
 )
-from .power.reductions import ZeroBase, comparison_matrix, reduction, unreachable_claims
+from .power.reductions import ZeroBase, cross_check, reduction, unreachable_claims
 from .power.standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
 from .ram.core import KEY_MASK, EnergyLedger, InvalidConfig, IotRam, RamConfig, Status
 from .ram.trace import TraceError, parse_trace, run_trace
@@ -245,15 +245,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.input is not None:
-        ds = _load_dataset(args.input)
-        diagnostics = validate_dataset(ds)
-    else:
-        ds = builtin_dataset()
-        diagnostics = list(validate_dataset(ds))
-        for rail in (Rail.IO, Rail.TOTAL, Rail.LEAKAGE):
-            _, extra = comparison_matrix(ds, rail)
-            diagnostics.extend(extra)
+    ds = _load_dataset(args.input)
+    diagnostics = validate_dataset(ds)
+    if args.input is None:
+        diagnostics += cross_check(ds)
 
     for diag in diagnostics:
         print(diag.render())
@@ -271,10 +266,11 @@ def cmd_validate(args) -> int:
 _LINES_PER_WRITE = 1024
 
 #: The per-operation lines of `ram-run` as %-formats, by op and status: the
-#: line number, the op padded to 24 columns and `render_outcome`'s word,
-#: which a property test holds them to. `ram-run` joins a batch's formats
-#: and fills them with one `%`: on a 20,000-op trace that took about 0.6 of
-#: the time of an f-string with format specs per line.
+#: line number, the op padded to 24 columns and the outcome word that the
+#: oracle in `tests/conftest.py` spells out, which a property test holds
+#: them to. `ram-run` joins a batch's formats and fills them with one `%`:
+#: on a 20,000-op trace that took about 0.6 of the time of an f-string with
+#: format specs per line.
 _WRITE_LINES = {
     Status.OK: "%5d  %-24s -> WriteOk\n",
     Status.AUTH_FAIL: "%5d  %-24s -> AuthFail\n",

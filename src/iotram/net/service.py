@@ -29,8 +29,8 @@ from .frames import (
 
 
 # handle_datagram names the members through these aliases, as ram.core does:
-# each `Opcode.X` or `Status.X` lookup costs about 0.17 µs on CPython 3.11,
-# against about 0.015 µs for a module name.
+# an `Opcode.X` or `Status.X` lookup costs about 0.2 µs on CPython 3.11 and
+# about 0.05 µs on 3.12 and 3.13, against about 0.02 µs for a module name.
 _READ, _WRITE, _STATUS = Opcode.READ, Opcode.WRITE, Opcode.STATUS
 _OK, _BAD_OPCODE, _MALFORMED = Status.OK, Status.BAD_OPCODE, Status.MALFORMED
 

@@ -17,7 +17,6 @@ import enum
 import math
 import types
 from collections.abc import Mapping
-from operator import mul
 from typing import NamedTuple
 
 from .dataset import CalibrationDataset, MissingCell, PowerBreakdown
@@ -104,22 +103,19 @@ class ModelCoefficients(_ModelCoefficientsFields):
         )
 
 
-def _through_origin(fs: list[float], ys: list[float]) -> RailFit:
+def _through_origin(sfy: float, sf2: float) -> RailFit:
     # OLS through (0, 0): slope = sum(f*y) / sum(f^2)
-    return RailFit(sum(map(mul, fs, ys)) / sum(map(mul, fs, fs)), 0.0, FitKind.THROUGH_ORIGIN)
+    return RailFit(sfy / sf2, 0.0, FitKind.THROUGH_ORIGIN)
 
 
-def _affine(fs: list[float], ys: list[float]) -> RailFit:
-    # Standard normal equations for y = slope*f + intercept; they have one
-    # solution only when the series holds two or more distinct frequencies.
+def _affine(fs: list[float], sf: float, sf2: float, sy: float, sfy: float) -> RailFit:
+    # Standard normal equations for y = slope*f + intercept, from the sums of
+    # f, f^2, y and f*y over the frequencies `fs`; they have one solution
+    # only when the series holds two or more distinct frequencies.
     distinct = set(fs)
     if len(distinct) < 2:
         raise DegenerateFit(f"affine fit needs 2 distinct frequencies, got {sorted(distinct)}")
     n = len(fs)
-    sf = sum(fs)
-    sy = sum(ys)
-    sfy = sum(map(mul, fs, ys))
-    sf2 = sum(map(mul, fs, fs))
     denom = n * sf2 - sf * sf
     slope = (n * sfy - sf * sy) / denom
     intercept = (sy - slope * sf) / n
@@ -154,39 +150,47 @@ def fit(ds: CalibrationDataset) -> ModelCoefficients:
         )
 
     # One pass over the cells, standard-major and channel-minor: the order in
-    # which the shared rails pool their points. The frequencies and each
-    # rail's watts go into lists that the fits add with sum(), so every sum
-    # adds the same floats in the same order, with the same rounding, as a
-    # sum() over that rail's pooled series (sum() compensates from Python
-    # 3.12 on, which a `+=` loop would not).
+    # which the shared rails pool their points. Every sum is a `+=` of floats
+    # in that order, so it rounds the same on every Python; sum() would not,
+    # as it compensates from 3.12 on.
     cells, channels = ds.cells, ds.channels()
     pooled_f: list[float] = []
-    clock_y: list[float] = []
-    signal_y: list[float] = []
-    bram_y: list[float] = []
-    per_std: dict[IoStandard, tuple[list[float], list[float], list[float]]] = {}
+    sf = sf2 = clock_fy = signal_y = signal_fy = bram_fy = 0.0
+    # Per standard: its frequencies, the sums of f and f^2, of f*io, and of
+    # leakage and f*leakage.
+    per_std: dict[IoStandard, tuple] = {}
     for std in ds.standards():
-        fs, io_y, leakage_y = per_std[std] = ([], [], [])
+        fs: list[float] = []
+        std_f = std_f2 = io_fy = leakage_y = leakage_fy = 0.0
         for ch in channels:
             cell = cells.get((std, ch))
             if cell is None:
                 continue
-            fs.append(ch.carrier_ghz)
-            clock_y.append(cell.clock_w)
-            signal_y.append(cell.signal_w)
-            bram_y.append(cell.bram_w)
-            io_y.append(cell.io_w)
-            leakage_y.append(cell.leakage_w)
+            f = ch.carrier_ghz
+            f2 = f * f
+            fs.append(f)
+            sf += f
+            sf2 += f2
+            clock_fy += f * cell.clock_w
+            signal_y += cell.signal_w
+            signal_fy += f * cell.signal_w
+            bram_fy += f * cell.bram_w
+            std_f += f
+            std_f2 += f2
+            io_fy += f * cell.io_w
+            leakage_y += cell.leakage_w
+            leakage_fy += f * cell.leakage_w
+        per_std[std] = (fs, std_f, std_f2, io_fy, leakage_y, leakage_fy)
         pooled_f += fs
 
     # Built in a fixed order, clock, signal, bram, io then leakage, so the
     # first fit to raise DegenerateFit is the same for every grid.
     coeffs = ModelCoefficients(
-        clock=_through_origin(pooled_f, clock_y),
-        signal=_affine(pooled_f, signal_y),
-        bram=_through_origin(pooled_f, bram_y),
-        io={std: _through_origin(fs, io_y) for std, (fs, io_y, _) in per_std.items()},
-        leakage={std: _affine(fs, leakage_y) for std, (fs, _, leakage_y) in per_std.items()},
+        clock=_through_origin(clock_fy, sf2),
+        signal=_affine(pooled_f, sf, sf2, signal_y, signal_fy),
+        bram=_through_origin(bram_fy, sf2),
+        io={std: _through_origin(fy, f2) for std, (_, _, f2, fy, _, _) in per_std.items()},
+        leakage={std: _affine(fs, f, f2, y, fy) for std, (fs, f, f2, _, y, fy) in per_std.items()},
     )
     object.__setattr__(ds, "_fit", coeffs)
     return coeffs

@@ -4,11 +4,13 @@ published comparison table and headline claims.
 The calibration grid (the per-channel tables) is authoritative. The source
 document also prints a standalone IO comparison table and a handful of prose
 reduction figures; both are embedded here verbatim as cross-check references,
-never as data. Where they disagree with the grid itself, the comparison
-surfaces TABLE7_MISMATCH / CLAIM_MISMATCH diagnostics instead of silently
-adopting either side. Two such disagreements are expected on the builtin grid:
-the comparison table's 1.383 W entry for (LVCMOS25, 2.4 GHz), and the headline
-85% / 88.45% IO-reduction figures at 2.4 GHz (the grid yields 64.99%).
+never as data. Where they disagree with the grid itself, `cross_check`
+reports TABLE7_MISMATCH / CLAIM_MISMATCH diagnostics instead of silently
+adopting either side. It reads every cell that the table prints or a claim
+quotes, so it needs a complete grid, and raises MissingCell otherwise. Two
+such disagreements are expected on the builtin grid: the comparison table's
+1.383 W entry for (LVCMOS25, 2.4 GHz), and the headline 85% / 88.45%
+IO-reduction figures at 2.4 GHz (the grid yields 64.99%).
 """
 
 from __future__ import annotations
@@ -127,49 +129,31 @@ def unreachable_claims(
             yield claim, report
 
 
-def check_claims(ds: CalibrationDataset, rail: Rail) -> list[Diagnostic]:
-    """Recompute each quoted figure for a rail from the grid; flag the unreachable ones."""
-    return [
+def cross_check(ds: CalibrationDataset) -> list[Diagnostic]:
+    """The published comparison table and quoted figures, re-derived from the
+    grid: a TABLE7_MISMATCH for each printed IO cell the grid disagrees with,
+    then a CLAIM_MISMATCH for each quoted reduction it cannot reproduce, on
+    the io, total and leakage rails in turn."""
+    diagnostics = [
         Diagnostic(
-            DiagnosticCode.CLAIM_MISMATCH,
-            f"quoted {claim.quoted_percent:.2f}% {rail.name.lower()} reduction "
-            f"(LVCMOS25 -> LVCMOS12) is unreachable from the grid: recomputed "
-            f"{report.percent:.2f}% from {report.base_w:.3f} W vs {report.alt_w:.3f} W",
-            f"{claim.source} ({claim.channel.carrier_ghz} GHz)",
+            DiagnosticCode.TABLE7_MISMATCH,
+            f"comparison table prints {printed:.3f} W but the "
+            f"calibration cell holds {ours:.3f} W",
+            f"io comparison table ({std.name}, {ch.carrier_ghz} GHz)",
         )
-        for claim, report in unreachable_claims(ds, rail, CHANNELS)
+        for std, row in PUBLISHED_IO_COMPARISON.items()
+        for ch, printed in row.items()
+        if abs((ours := ds.lookup(std, ch).io_w) - printed) > TABLE_MATCH_TOLERANCE_W
     ]
-
-
-def comparison_matrix(
-    ds: CalibrationDataset, rail: Rail
-) -> tuple[dict[IoStandard, dict[WlanChannel, float]], list[Diagnostic]]:
-    """Standards-by-channels matrix of one rail, plus cross-check diagnostics.
-
-    Cells always come from the grid, never from the published comparison
-    table; for the IO rail that table and the quoted claims are re-derived and
-    any disagreement is reported.
-    """
-    matrix = {
-        std: {ch: ds.lookup(std, ch).rail(rail) for ch in CHANNELS}
-        for std in ds.standards()
-    }
-
-    diagnostics: list[Diagnostic] = []
-    if rail is Rail.IO:
-        for std, row in PUBLISHED_IO_COMPARISON.items():
-            if std not in matrix:
-                continue
-            for ch, printed in row.items():
-                ours = matrix[std][ch]
-                if abs(ours - printed) > TABLE_MATCH_TOLERANCE_W:
-                    diagnostics.append(
-                        Diagnostic(
-                            DiagnosticCode.TABLE7_MISMATCH,
-                            f"comparison table prints {printed:.3f} W but the "
-                            f"calibration cell holds {ours:.3f} W",
-                            f"io comparison table ({std.name}, {ch.carrier_ghz} GHz)",
-                        )
-                    )
-    diagnostics.extend(check_claims(ds, rail))
-    return matrix, diagnostics
+    for rail in (Rail.IO, Rail.TOTAL, Rail.LEAKAGE):
+        diagnostics += [
+            Diagnostic(
+                DiagnosticCode.CLAIM_MISMATCH,
+                f"quoted {claim.quoted_percent:.2f}% {rail.name.lower()} reduction "
+                f"(LVCMOS25 -> LVCMOS12) is unreachable from the grid: recomputed "
+                f"{report.percent:.2f}% from {report.base_w:.3f} W vs {report.alt_w:.3f} W",
+                f"{claim.source} ({claim.channel.carrier_ghz} GHz)",
+            )
+            for claim, report in unreachable_claims(ds, rail, CHANNELS)
+        ]
+    return diagnostics

@@ -37,18 +37,17 @@ class IoStandard(enum.Enum):
 class WlanChannel(enum.Enum):
     """802.11 channel variants; the carrier doubles as the modeled clock rate."""
 
-    GHZ_0_9 = ("802.11ah", 0.9, "Unlicensed Bands")
-    GHZ_2_4 = ("802.11b/g/n", 2.4, "2412-2484MHz")
-    GHZ_3_6 = ("802.11y", 3.6, "3657.5-3692.5MHz")
-    GHZ_5_0 = ("802.11a/h/j/n/ac", 5.0, "4915-5825MHz")
-    GHZ_5_9 = ("802.11p", 5.9, "5850-5925MHz")
+    GHZ_0_9 = ("802.11ah", 0.9)
+    GHZ_2_4 = ("802.11b/g/n", 2.4)
+    GHZ_3_6 = ("802.11y", 3.6)
+    GHZ_5_0 = ("802.11a/h/j/n/ac", 5.0)
+    GHZ_5_9 = ("802.11p", 5.9)
 
     __hash__ = object.__hash__
 
-    def __init__(self, ieee_name: str, carrier_ghz: float, band_range: str):
+    def __init__(self, ieee_name: str, carrier_ghz: float):
         self.ieee_name = ieee_name
         self.carrier_ghz = carrier_ghz
-        self.band_range = band_range
 
     @classmethod
     def from_ghz(cls, ghz: float) -> "WlanChannel":

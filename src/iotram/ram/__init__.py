@@ -1,7 +1,6 @@
 """IPv6-gated RAM model, its energy ledger, and trace driver.
 
-The word and key widths, `TraceOp` and `render_outcome` are imported from
-`core` and `trace`.
+The word and key widths and `TraceOp` are imported from `core` and `trace`.
 """
 
 from .core import EnergyLedger, InvalidConfig, IotRam, RamConfig, Status

@@ -83,9 +83,9 @@ class Status(enum.IntEnum):
     BAD_OPCODE = 4
 
 
-# The per-access code names the members through these aliases: on CPython
-# 3.11, EnumType defines __getattr__, which makes each `Status.X` lookup cost
-# about 0.15 µs, against 0.01 µs for a module name.
+# The per-access code names the members through these aliases: `Status.X`
+# costs about 0.2 µs on CPython 3.11 (EnumType.__getattr__) and, with less
+# to gain, 0.05 µs on 3.12 and 3.13, against 0.02 µs for a module name.
 _OK, _AUTH_FAIL, _ADDR_RANGE = Status.OK, Status.AUTH_FAIL, Status.ADDR_RANGE
 
 
@@ -95,16 +95,18 @@ class EnergyLedger:
 
     def __init__(self, per_cycle_j: float):
         self.per_cycle_j = per_cycle_j
-        self.ops_total = 0
         self.ops_by_status: dict[Status, int] = {}
         self.cycles = 0
+
+    @property
+    def ops_total(self) -> int:
+        return sum(self.ops_by_status.values())
 
     @property
     def energy_j(self) -> float:
         return self.cycles * self.per_cycle_j
 
     def record(self, status: Status, cycle_delta: int) -> None:
-        self.ops_total += 1
         self.ops_by_status[status] = self.ops_by_status.get(status, 0) + 1
         self.cycles += cycle_delta
 

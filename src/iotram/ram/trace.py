@@ -11,10 +11,6 @@ import typing
 from .core import WORD_MASK, EnergyLedger, IotRam, Status
 
 
-# Aliases for the per-op code; see the note in `core`.
-_AUTH_FAIL, _ADDR_RANGE = Status.AUTH_FAIL, Status.ADDR_RANGE
-
-
 class TraceError(ValueError):
     """Malformed trace line; carries the 1-based line number."""
 
@@ -113,11 +109,3 @@ def run_trace(
         record(status, 1)
     return results
 
-
-def render_outcome(op: TraceOp, status: Status, data: int) -> str:
-    """The word `ram-run` prints for one executed op."""
-    if status is _AUTH_FAIL:
-        return "AuthFail"
-    if status is _ADDR_RANGE:
-        return "AddrRange"
-    return "WriteOk" if op.is_write else f"ReadOk {data:08X}"

@@ -9,10 +9,15 @@ layout: one block per channel, one row per rail, columns in ascending supply
 voltage (LVCMOS12, LVCMOS15, LVCMOS18, LVCMOS25). The package embeds the same
 numbers keyed per standard, so agreement catches transcription slips in
 either copy. Values in watts.
+
+`render_outcome` is the word `ram-run` prints for one executed op, written
+plainly: the oracle that the CLI's per-op line formats are held to.
 """
 
 import pytest
 from hypothesis import settings
+
+from iotram.ram import Status
 
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
@@ -64,3 +69,12 @@ GOLDEN_TABLES = {
 @pytest.fixture(scope="session")
 def golden_grid():
     return GOLDEN_TABLES
+
+
+def render_outcome(op, status: Status, data: int) -> str:
+    """The word `ram-run` prints for one executed op (a `TraceOp`)."""
+    if status is Status.AUTH_FAIL:
+        return "AuthFail"
+    if status is Status.ADDR_RANGE:
+        return "AddrRange"
+    return "WriteOk" if op.is_write else f"ReadOk {data:08X}"

@@ -7,7 +7,7 @@ reader rejects is refused at the physical line of its first bad value, and
 every text it accepts either fits with finite coefficients, and then prices
 every off-grid frequency as that fit predicts, or raises one of the fit's
 documented errors. The fit is also held to a reference written here, the
-pooled series summed with `sum()`, to the bit, and the reader and the grid
+pooled series summed left to right, to the bit, and the reader and the grid
 check to their first versions, copied here: the same cells or error text
 for texts written loosely, and the same diagnostics for perturbed grids. A
 grid of any finite non-negative floats reads back from its CSV exactly. A
@@ -54,7 +54,7 @@ from iotram.power.dataset import (
 from iotram.power.model import FitKind, RailFit
 from iotram.power.standards import POWER_RAILS
 from iotram.ram import InvalidConfig, RamConfig
-from test_golden import run_cli
+from golden_transcripts import run_cli
 
 STANDARD_NAMES = ("LVCMOS12", "LVCMOS15", "LVCMOS18", "LVCMOS25")
 CARRIERS_GHZ = (0.9, 2.4, 3.6, 5.0, 5.9)
@@ -232,11 +232,20 @@ def _outcome(fn, *args):
         return NonPositiveFrequency
 
 
+def _total(xs) -> float:
+    """Floats added left to right: `sum()` up to Python 3.11, which from 3.12
+    on compensates and so rounds differently."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _reference_fit(ds) -> dict[str, RailFit]:
     """The fit as first written: each series built from the grid on its own,
-    the shared rails pooled standard by standard, and every sum a `sum()`. A
-    fit that adds the same floats in another order differs from it in the
-    last bits."""
+    the shared rails pooled standard by standard, and every sum added left to
+    right. A fit that adds the same floats in another order differs from it
+    in the last bits."""
     distinct = {ch.carrier_ghz for _, ch in ds.cells}
     if len(distinct) < 2:
         raise DegenerateFit(f"need at least 2 distinct frequencies, grid has {sorted(distinct)}")
@@ -246,8 +255,8 @@ def _reference_fit(ds) -> dict[str, RailFit]:
                 for ch in ds.channels() if (std, ch) in ds.cells]
 
     def through_origin(points):
-        sfy = sum(f * y for f, y in points)
-        sf2 = sum(f * f for f, _ in points)
+        sfy = _total(f * y for f, y in points)
+        sf2 = _total(f * f for f, _ in points)
         return RailFit(sfy / sf2, 0.0, FitKind.THROUGH_ORIGIN)
 
     def affine(points):
@@ -255,10 +264,10 @@ def _reference_fit(ds) -> dict[str, RailFit]:
         if len(distinct) < 2:
             raise DegenerateFit(f"affine fit needs 2 distinct frequencies, got {sorted(distinct)}")
         n = len(points)
-        sf = sum(f for f, _ in points)
-        sy = sum(y for _, y in points)
-        sfy = sum(f * y for f, y in points)
-        sf2 = sum(f * f for f, _ in points)
+        sf = _total(f for f, _ in points)
+        sy = _total(y for _, y in points)
+        sfy = _total(f * y for f, y in points)
+        sf2 = _total(f * f for f, _ in points)
         slope = (n * sfy - sf * sy) / (n * sf2 - sf * sf)
         return RailFit(slope, (sy - slope * sf) / n, FitKind.AFFINE)
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotram.ram import InvalidConfig, IotRam, RamConfig, Status
-from iotram.ram.trace import TraceOp, render_outcome
+from iotram.ram.trace import TraceOp
+
+from conftest import render_outcome
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 WRONG = int(ipaddress.IPv6Address("2001:db8::2"))

@@ -21,8 +21,7 @@ from iotram.power.reductions import (
     CLAIM_TOLERANCE_PP,
     PUBLISHED_IO_COMPARISON,
     ReductionReport,
-    check_claims,
-    comparison_matrix,
+    cross_check,
 )
 
 
@@ -145,44 +144,54 @@ def test_render_mentions_both_standards(ds):
     assert "LVCMOS25" in text and "LVCMOS12" in text and "%" in text
 
 
+def _claims(diags):
+    return [d for d in diags if d.code is DiagnosticCode.CLAIM_MISMATCH]
+
+
 def test_unreachable_quotes(ds):
     # The two quoted 2.4 GHz IO figures cannot be derived from the grid; every
     # other quoted figure passes.
-    flagged = check_claims(ds, Rail.IO)
+    flagged = _claims(cross_check(ds))
     assert len(flagged) == 2
     quoted = sorted(float(d.message.split("%")[0].split()[-1]) for d in flagged)
     assert quoted == [85.0, 88.45]
-    assert all(d.code is DiagnosticCode.CLAIM_MISMATCH for d in flagged)
+    assert all("% io reduction" in d.message and "(2.4 GHz)" in d.location for d in flagged)
 
 
 def test_other_rails_claims_pass(ds):
-    assert check_claims(ds, Rail.TOTAL) == []
-    assert check_claims(ds, Rail.LEAKAGE) == []
+    assert [d for d in _claims(cross_check(ds)) if "% io reduction" not in d.message] == []
 
 
-def test_comparison_matrix_uses_grid_not_printed_table(ds):
-    matrix, diags = comparison_matrix(ds, Rail.IO)
-    # The matrix must carry the per-channel tables' 0.457, never the
-    # comparison table's 1.383.
-    assert matrix[IoStandard.LVCMOS25][WlanChannel.GHZ_2_4] == 0.457
-    for std in ds.standards():
-        for ch in ds.channels():
-            assert matrix[std][ch] == ds.lookup(std, ch).io_w
+def test_cross_check_uses_grid_not_printed_table(ds):
+    # The grid carries the per-channel tables' 0.457, never the comparison
+    # table's 1.383, and the cross-check reports the grid's value.
+    assert ds.lookup(IoStandard.LVCMOS25, WlanChannel.GHZ_2_4).io_w == 0.457
+    table = [d for d in cross_check(ds) if d.code is DiagnosticCode.TABLE7_MISMATCH]
+    assert "the calibration cell holds 0.457 W" in table[0].message
+    # Given the printed value, the grid agrees with the table everywhere.
+    cells = dict(ds.cells)
+    cell = cells[(IoStandard.LVCMOS25, WlanChannel.GHZ_2_4)]
+    cells[(IoStandard.LVCMOS25, WlanChannel.GHZ_2_4)] = cell._replace(io_w=1.383)
+    codes = [d.code for d in cross_check(CalibrationDataset(cells))]
+    assert DiagnosticCode.TABLE7_MISMATCH not in codes
 
 
-def test_comparison_matrix_flags_exactly_one_table_mismatch(ds):
-    _, diags = comparison_matrix(ds, Rail.IO)
-    table = [d for d in diags if d.code is DiagnosticCode.TABLE7_MISMATCH]
-    claims = [d for d in diags if d.code is DiagnosticCode.CLAIM_MISMATCH]
-    assert len(table) == 1
-    assert "1.383" in table[0].message and "0.457" in table[0].message
-    assert len(claims) == 2
+def test_cross_check_flags_exactly_one_table_mismatch(ds):
+    diags = cross_check(ds)
+    # The table's mismatch comes first, then the claims'.
+    assert [d.code for d in diags] == [
+        DiagnosticCode.TABLE7_MISMATCH, DiagnosticCode.CLAIM_MISMATCH, DiagnosticCode.CLAIM_MISMATCH
+    ]
+    assert "1.383" in diags[0].message and "0.457" in diags[0].message
+    assert diags[0].location == "io comparison table (LVCMOS25, 2.4 GHz)"
 
 
-def test_comparison_matrix_other_rails_clean(ds):
-    for rail in (Rail.CLOCK, Rail.SIGNAL, Rail.BRAM, Rail.LEAKAGE, Rail.TOTAL):
-        _, diags = comparison_matrix(ds, rail)
-        assert diags == []
+def test_cross_check_needs_a_complete_grid(ds):
+    partial = CalibrationDataset(
+        {k: v for k, v in ds.cells.items() if k != (IoStandard.LVCMOS18, WlanChannel.GHZ_5_0)}
+    )
+    with pytest.raises(MissingCell, match=r"no cell for \(LVCMOS18, 5.0 GHz\)"):
+        cross_check(partial)
 
 
 def test_published_table_matches_grid_except_one_cell(ds):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from iotram.cli import EXIT_OK, EXIT_VALIDATION, main
 from iotram.ram import EnergyLedger, IotRam, RamConfig, Status, TraceError, parse_trace, run_trace
-from iotram.ram.trace import TraceOp, render_outcome
+from iotram.ram.trace import TraceOp
+
+from conftest import render_outcome
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
 
