@@ -78,7 +78,8 @@ def _parse_key(text: str) -> int:
     """128-bit key, as an IPv6 literal ("2001:db8::1") or plain hex."""
     cleaned = text.strip()
     try:
-        if ":" in cleaned:
+        # A zone index ("fe80::1%eth0") is no part of a key: the hex parse rejects it.
+        if ":" in cleaned and "%" not in cleaned:
             return int(ipaddress.IPv6Address(cleaned))
         value = int(cleaned, 16)
     except ValueError:

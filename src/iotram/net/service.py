@@ -13,7 +13,7 @@ from __future__ import annotations
 import socket
 import threading
 
-from ..power.dataset import CalibrationDataset, builtin_dataset
+from ..power.dataset import CalibrationDataset
 from ..power.model import energy_per_cycle, power_at
 from ..power.standards import IoStandard, WlanChannel
 from ..ram.core import EnergyLedger, IotRam, Status
@@ -35,11 +35,8 @@ _READ, _WRITE, _STATUS = Opcode.READ, Opcode.WRITE, Opcode.STATUS
 _OK, _BAD_OPCODE, _MALFORMED = Status.OK, Status.BAD_OPCODE, Status.MALFORMED
 
 
-def make_ledger(
-    std: IoStandard, channel: WlanChannel, ds: CalibrationDataset | None = None
-) -> EnergyLedger:
+def make_ledger(std: IoStandard, channel: WlanChannel, ds: CalibrationDataset) -> EnergyLedger:
     """Ledger priced at one operating point: the grid cell of the channel."""
-    ds = ds if ds is not None else builtin_dataset()
     breakdown = power_at(ds, std, channel.carrier_ghz)
     return EnergyLedger(energy_per_cycle(breakdown, channel.carrier_ghz))
 

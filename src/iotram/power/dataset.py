@@ -231,75 +231,15 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
     increase with the carrier; voltage monotonicity expects io and total to
     strictly increase with supply voltage at a fixed channel (clock, signal
     and BRAM are bank-independent, so only those two rails are checked).
+    Findings come as every ROW_SUM, then the frequency breaks by (standard,
+    rail, pair), then the supply-voltage breaks by (channel, rail, pair).
     """
-    if _clean(ds):
-        return []
     out: list[Diagnostic] = []
-    cells = ds.cells
-    rows = [
-        (std, [(ch, cell) for ch in ds.channels() if (cell := cells.get((std, ch))) is not None])
-        for std in ds.standards()
-    ]
-
-    for std, row in rows:
-        for ch, cell in row:
-            if cell.row_sum_error_w > ROW_SUM_TOLERANCE_W:
-                out.append(
-                    Diagnostic(
-                        DiagnosticCode.ROW_SUM,
-                        f"rails sum to {cell.rail_sum_w:.3f} W but total is "
-                        f"{cell.total_w:.3f} W (tolerance {ROW_SUM_TOLERANCE_W} W)",
-                        f"({std.name}, {ch.carrier_ghz} GHz)",
-                    )
-                )
-
-    rails = POWER_RAILS + (Rail.TOTAL,)
-    for std, row in rows:
-        for rail in rails:
-            field = rail.field
-            for (ch_a, cell_a), (ch_b, cell_b) in zip(row, row[1:]):
-                w_a, w_b = getattr(cell_a, field), getattr(cell_b, field)
-                if w_b <= w_a:
-                    out.append(
-                        Diagnostic(
-                            DiagnosticCode.MONOTONIC_FREQ,
-                            f"{rail.name.lower()} does not increase with frequency: "
-                            f"{w_a:.3f} W at {ch_a.carrier_ghz} GHz vs "
-                            f"{w_b:.3f} W at {ch_b.carrier_ghz} GHz",
-                            f"({std.name}, {rail.name.lower()})",
-                        )
-                    )
-
-    for ch in ds.channels():
-        column = [(std, cell) for std in ds.standards() if (cell := cells.get((std, ch))) is not None]
-        for rail in (Rail.IO, Rail.TOTAL):
-            field = rail.field
-            for (std_a, cell_a), (std_b, cell_b) in zip(column, column[1:]):
-                w_a, w_b = getattr(cell_a, field), getattr(cell_b, field)
-                if w_b <= w_a:
-                    out.append(
-                        Diagnostic(
-                            DiagnosticCode.MONOTONIC_VOLT,
-                            f"{rail.name.lower()} does not increase with supply voltage: "
-                            f"{w_a:.3f} W for {std_a.name} vs "
-                            f"{w_b:.3f} W for {std_b.name}",
-                            f"({ch.carrier_ghz} GHz, {rail.name.lower()})",
-                        )
-                    )
-
-    return out
-
-
-def _clean(ds: CalibrationDataset) -> bool:
-    """True when the grid breaks none of the rules `validate_dataset` checks,
-    found in one sweep over the cells as tuples: each row sum, added in the
-    order of `row_sum_error_w`, every field rising along each standard's
-    channels, and io and total rising along each channel's standards. It
-    makes the walk's comparisons, so it is True only when the walk would
-    find nothing; the walk alone phrases a finding."""
-    cells = ds.cells
-    stds, chs = ds._standards, ds._channels
-    tol = ROW_SUM_TOLERANCE_W
+    cells, stds, chs, tol = ds.cells, ds.standards(), ds.channels(), ROW_SUM_TOLERANCE_W
+    # One sweep along each standard's cells: a row sum (added in the order of
+    # `rail_sum_w`) is phrased where it is found, and a pair of neighbours in
+    # which some rail does not rise is kept, to be phrased rail by rail below.
+    freq_breaks: dict[str, list] = {}
     for std in stds:
         prev = None
         for ch in chs:
@@ -308,12 +248,19 @@ def _clean(ds: CalibrationDataset) -> bool:
                 continue
             c, s, b, i, l, t = cell
             if abs(t - (c + s + b + i + l)) > tol:
-                return False
+                out.append(Diagnostic(
+                    DiagnosticCode.ROW_SUM,
+                    f"rails sum to {cell.rail_sum_w:.3f} W but total is "
+                    f"{cell.total_w:.3f} W (tolerance {tol} W)",
+                    f"({std.name}, {ch.carrier_ghz} GHz)",
+                ))
             if prev is not None:
                 c0, s0, b0, i0, l0, t0 = prev
                 if not (c0 < c and s0 < s and b0 < b and i0 < i and l0 < l and t0 < t):
-                    return False
-            prev = cell
+                    freq_breaks.setdefault(std.name, []).append((prev_ch, prev, ch, cell))
+            prev_ch, prev = ch, cell
+    # The same sweep down each channel's cells, on io and total only.
+    volt_breaks: dict[str, list] = {}
     for ch in chs:
         prev = None
         for std in stds:
@@ -321,9 +268,31 @@ def _clean(ds: CalibrationDataset) -> bool:
             if cell is None:
                 continue
             if prev is not None and not (prev[3] < cell[3] and prev[5] < cell[5]):
-                return False
-            prev = cell
-    return True
+                volt_breaks.setdefault(f"{ch.carrier_ghz} GHz", []).append((prev_std, prev, std, cell))
+            prev_std, prev = std, cell
+    _phrase_breaks(out, DiagnosticCode.MONOTONIC_FREQ, "frequency", freq_breaks,
+                   POWER_RAILS + (Rail.TOTAL,), lambda ch: f"at {ch.carrier_ghz} GHz")
+    _phrase_breaks(out, DiagnosticCode.MONOTONIC_VOLT, "supply voltage", volt_breaks,
+                   (Rail.IO, Rail.TOTAL), lambda std: f"for {std.name}")
+    return out
+
+
+def _phrase_breaks(out, code, axis, breaks, rails, name) -> None:
+    """Append, for each place in `breaks` and each of `rails` in turn, one
+    finding per kept pair (key_a, cell_a, key_b, cell_b) across which that
+    rail does not rise; `name` phrases a key."""
+    for place, pairs in breaks.items():
+        for rail in rails:
+            field, rail_name = rail.field, rail.name.lower()
+            for key_a, cell_a, key_b, cell_b in pairs:
+                w_a, w_b = getattr(cell_a, field), getattr(cell_b, field)
+                if w_b <= w_a:
+                    out.append(Diagnostic(
+                        code,
+                        f"{rail_name} does not increase with {axis}: "
+                        f"{w_a:.3f} W {name(key_a)} vs {w_b:.3f} W {name(key_b)}",
+                        f"({place}, {rail_name})",
+                    ))
 
 
 CALIBRATION_HEADER = "standard,channel_ghz,clock_w,signal_w,bram_w,io_w,leakage_w,total_w"

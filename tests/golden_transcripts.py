@@ -38,7 +38,7 @@ from unittest import mock
 from iotram.cli import main
 from iotram.net import encode_request
 from iotram.net.service import handle_datagram, make_ledger
-from iotram.power import IoStandard, WlanChannel
+from iotram.power import IoStandard, WlanChannel, builtin_dataset
 from iotram.power.dataset import CALIBRATION_HEADER
 from iotram.ram import IotRam, RamConfig
 
@@ -87,7 +87,7 @@ def replay_wire(requests: list[bytes]) -> tuple[list[str], str]:
     """Each request with the response `handle_datagram` gives it, as stored
     ("<request hex> <response hex>"), in one session; then its ledger line."""
     ram = IotRam(RamConfig(depth_words=WIRE_DEPTH, device_ipv6=WIRE_KEY))
-    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
+    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4, builtin_dataset())
     exchanges = [f"{req.hex()} {handle_datagram(req, ram, ledger).hex()}" for req in requests]
     return exchanges, ledger.render()
 

@@ -202,7 +202,7 @@ def test_c8_protocol_round_trip_and_fuzz():
         )
 
     ram = IotRam(RamConfig(device_ipv6=DEVICE_KEY))
-    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
+    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4, builtin_dataset())
     total = 100_000
     for i in range(total):
         roll = rng.random()
@@ -236,7 +236,7 @@ def test_c8_protocol_round_trip_and_fuzz():
 def test_c9_energy_ledger():
     """1000 accepted ops at (LVCMOS12, 2.4 GHz) accumulate 2.0204 uJ +/- 0.001 uJ."""
     ram = IotRam(RamConfig(device_ipv6=DEVICE_KEY))
-    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
+    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4, builtin_dataset())
     for i in range(1000):
         response = decode_response(
             handle_datagram(

@@ -270,6 +270,18 @@ def test_ram_run_rejects_bad_key(capsys, tmp_path):
     assert "key" in err
 
 
+def test_ram_run_rejects_a_key_with_a_zone_index(capsys, tmp_path):
+    # A zone index is not part of the address: dropping it would take
+    # "fe80::1%eth0" for the device key "fe80::1".
+    trace = tmp_path / "ops.trace"
+    trace.write_text("R 0\n")
+    code, out, err = run(
+        capsys, "ram-run", "--trace", str(trace), "--key", "fe80::1%eth0", "--device-key", "fe80::1",
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "iotram: bad 128-bit key 'fe80::1%eth0'\n"
+
+
 def test_ram_run_energy_line(capsys, tmp_path):
     trace = tmp_path / "ops.trace"
     trace.write_text("".join(f"W {i % 256} 1\n" for i in range(10)))

@@ -405,8 +405,9 @@ def test_read_calibration_agrees_with_the_field_by_field_reader(text):
     assert _read_outcome(read_calibration, text) == _read_outcome(_reference_read_calibration, text)
 
 
-# The check as first written, before its clean-grid sweep: the oracle for
-# every diagnostic, its text and its place in the list.
+# The oracle of `validate_dataset`'s one sweep: each rule in a walk of its
+# own, in the order of the findings. It pins every diagnostic, its text and
+# its place in the list.
 def _reference_validate(ds) -> list[Diagnostic]:
     out = []
     cells = ds.cells

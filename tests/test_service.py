@@ -24,7 +24,8 @@ WRONG = int(ipaddress.IPv6Address("2001:db8::2"))
 
 
 def _service(ram, bind="127.0.0.1:0"):
-    return RamService(ram, make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4), bind)
+    ledger = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4, builtin_dataset())
+    return RamService(ram, ledger, bind)
 
 
 @pytest.fixture
@@ -34,13 +35,13 @@ def ram():
 
 @pytest.fixture
 def ledger():
-    return make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
+    return make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4, builtin_dataset())
 
 
 def test_ledger_pricing_matches_grid():
-    led = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4)
-    assert math.isclose(led.per_cycle_j, 4.849 / 2.4e9, rel_tol=1e-12)
     ds = builtin_dataset()
+    led = make_ledger(IoStandard.LVCMOS12, WlanChannel.GHZ_2_4, ds)
+    assert math.isclose(led.per_cycle_j, 4.849 / 2.4e9, rel_tol=1e-12)
     led = make_ledger(IoStandard.LVCMOS25, WlanChannel.GHZ_0_9, ds)
     assert math.isclose(led.per_cycle_j, 2.739 / 0.9e9, rel_tol=1e-12)
 
