@@ -74,17 +74,23 @@ def _parse_channels(text: str) -> list[WlanChannel]:
     return list(CHANNELS) if text.strip().lower() == "all" else [_parse(WlanChannel, text)]
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def _parse_key(text: str) -> int:
-    """128-bit key, as an IPv6 literal ("2001:db8::1") or plain hex."""
+    """128-bit key, as an IPv6 literal ("2001:db8::1") or plain ASCII hex."""
     cleaned = text.strip()
     try:
-        # A zone index ("fe80::1%eth0") is no part of a key: the hex parse rejects it.
+        # A zone index ("fe80::1%eth0") is no part of a key.
         if ":" in cleaned and "%" not in cleaned:
             return int(ipaddress.IPv6Address(cleaned))
+        # int() alone would also take "0x", a sign, "_" and non-ASCII digits.
+        if not cleaned or not _HEX_DIGITS.issuperset(cleaned):
+            raise ValueError
         value = int(cleaned, 16)
     except ValueError:
         raise CliError(EXIT_USAGE, f"bad 128-bit key {text!r}") from None
-    if not 0 <= value <= KEY_MASK:
+    if value > KEY_MASK:
         raise CliError(EXIT_USAGE, f"key {text!r} does not fit in 128 bits")
     return value
 

@@ -15,6 +15,7 @@ one across threads must serialize operations themselves.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -28,16 +29,22 @@ class InvalidConfig(ValueError):
     """Rejected RAM configuration (depth outside 1..2**32, bad key)."""
 
 
-class RamConfig:
-    """Depth in 32-bit words plus the gate key; read-only.
+class _RamConfigFields(NamedTuple):
+    depth_words: int = 256
+    device_ipv6: int = 0
 
-    A `__slots__` class, as every RAM access reads both fields. Copies,
-    unpickling and `_replace` are built by `__init__`, so they are checked.
+
+class RamConfig(_RamConfigFields):
+    """Depth in 32-bit words plus the gate key.
+
+    A NamedTuple whose `__new__` raises InvalidConfig for a depth outside
+    1..2**32 or a key outside 128 bits; `_make`, and so `_replace`, and
+    unpickling and copying all build through it.
     """
 
-    __slots__ = ("depth_words", "device_ipv6")
+    __slots__ = ()
 
-    def __init__(self, depth_words: int = 256, device_ipv6: int = 0):
+    def __new__(cls, depth_words: int = 256, device_ipv6: int = 0):
         if depth_words < 1:
             raise InvalidConfig(f"depth_words must be >= 1, got {depth_words}")
         if depth_words > MAX_DEPTH_WORDS:
@@ -46,31 +53,11 @@ class RamConfig:
             )
         if not 0 <= device_ipv6 <= KEY_MASK:
             raise InvalidConfig("device_ipv6 must fit in 128 bits")
-        object.__setattr__(self, "depth_words", depth_words)
-        object.__setattr__(self, "device_ipv6", device_ipv6)
+        return tuple.__new__(cls, (depth_words, device_ipv6))
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: a RamConfig is read-only")
-
-    __delattr__ = __setattr__
-
-    def _replace(self, **changes) -> RamConfig:
-        fields = {"depth_words": self.depth_words, "device_ipv6": self.device_ipv6}
-        return RamConfig(**{**fields, **changes})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.depth_words, self.device_ipv6) == (other.depth_words, other.device_ipv6)
-
-    def __hash__(self) -> int:
-        return hash((self.depth_words, self.device_ipv6))
-
-    def __repr__(self) -> str:
-        return f"RamConfig(depth_words={self.depth_words!r}, device_ipv6={self.device_ipv6!r})"
-
-    def __reduce__(self):
-        return RamConfig, (self.depth_words, self.device_ipv6)
+    @classmethod
+    def _make(cls, iterable) -> RamConfig:
+        return cls(*iterable)
 
 
 class Status(enum.IntEnum):
@@ -127,11 +114,14 @@ class IotRam:
     written reads 0. So a RAM of any depth allocates nothing up front.
 
     `read` and `write` each gate the access themselves: they charge the
-    cycle, then check the key, then the address.
+    cycle, then check the key, then the address. The key and depth are read
+    from `config` once, here, so no access reads a record field.
     """
 
     def __init__(self, config: RamConfig):
         self.config = config
+        self._key = config.device_ipv6
+        self._depth = config.depth_words
         self.words: dict[int, int] = {}
         self.cycle_count = 0
         self.last_dout = 0
@@ -139,10 +129,9 @@ class IotRam:
     def write(self, key: int, addr: int, data: int) -> tuple[Status, int]:
         """Store a word; returns (status, 0), status being OK, AUTH_FAIL or ADDR_RANGE."""
         self.cycle_count += 1
-        config = self.config
-        if key != config.device_ipv6:
+        if key != self._key:
             return _AUTH_FAIL, 0
-        if not 0 <= addr < config.depth_words:
+        if not 0 <= addr < self._depth:
             return _ADDR_RANGE, 0
         self.words[addr] = data & WORD_MASK
         return _OK, 0
@@ -150,10 +139,9 @@ class IotRam:
     def read(self, key: int, addr: int) -> tuple[Status, int]:
         """Load a word; returns (OK, word), or (AUTH_FAIL or ADDR_RANGE, 0)."""
         self.cycle_count += 1
-        config = self.config
-        if key != config.device_ipv6:
+        if key != self._key:
             return _AUTH_FAIL, 0
-        if not 0 <= addr < config.depth_words:
+        if not 0 <= addr < self._depth:
             return _ADDR_RANGE, 0
         value = self.words.get(addr, 0)
         self.last_dout = value

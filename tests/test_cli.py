@@ -270,6 +270,19 @@ def test_ram_run_rejects_bad_key(capsys, tmp_path):
     assert "key" in err
 
 
+# Forms `int(text, 16)` takes that are not plain ASCII hex: a prefix, a sign,
+# an underscore and Arabic-Indic digits (which `int` reads as 0x12).
+@pytest.mark.parametrize("form", ["0xff", "0XFF", "+ff", "de_ad", "-0", "\u0661\u0662", "-1"])
+@pytest.mark.parametrize("option", ["--key", "--device-key"])
+def test_ram_run_takes_only_plain_hex_keys(capsys, tmp_path, option, form):
+    trace = tmp_path / "ops.trace"
+    trace.write_text("R 0\n")
+    other = "--device-key" if option == "--key" else "--key"
+    code, out, err = run(capsys, "ram-run", "--trace", str(trace), f"{option}={form}", other, "ff")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"iotram: bad 128-bit key {form!r}\n"
+
+
 def test_ram_run_rejects_a_key_with_a_zone_index(capsys, tmp_path):
     # A zone index is not part of the address: dropping it would take
     # "fe80::1%eth0" for the device key "fe80::1".

@@ -21,11 +21,13 @@ import copy
 import math
 import pickle
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iotram.net.service import RamService
 from iotram.power import (
     CHANNELS,
     STANDARDS,
@@ -115,10 +117,14 @@ _FREQ = st.one_of(
     st.sampled_from(["3.0", "2.4", "0.5", "0", "-1", "nan", "inf", "-inf", "1.7e308", "1e300", "5e-324"]),
     st.floats().map(repr),
 )
+_KEY = st.sampled_from(
+    ["2001:db8::2", "ff", "not-a-key", "1" + "0" * 32, "0xff", "0XFF", "+ff", "de_ad", "-0", "\u0661\u0662", "-1"]
+)
+_DEPTH = st.sampled_from(["16", "4294967296", "0", "-1", "x", "16", "4294967297"])
 _INPUT = st.sampled_from([None, "{dir}/grid.csv", "{dir}/grid.csv", "{dir}/grid.csv", "{dir}/missing.csv"])
 
 
-SUBCOMMANDS = ("table", "compare", "fit", "predict", "validate", "ram-run")
+SUBCOMMANDS = ("table", "compare", "fit", "predict", "validate", "ram-run", "serve")
 
 
 @st.composite
@@ -145,12 +151,15 @@ def command_lines(draw, sub: str) -> list[str]:
         argv = opt("standard", _STANDARD, True) + opt("freq-ghz", _FREQ, True) + formats("text", "json")
     elif sub == "validate":
         argv = []
-    else:
+    elif sub == "ram-run":
         priced = draw(st.booleans())
         argv = (opt("trace", st.sampled_from(["{dir}/ops.trace"] * 3 + ["{dir}/bad.trace"]), True)
-                + opt("key", st.sampled_from(["2001:db8::2", "ff", "not-a-key"]))
-                + opt("depth", st.sampled_from(["16", "4294967296", "0", "-1", "x", "16", "4294967297"]))
+                + opt("key", _KEY) + opt("depth", _DEPTH)
                 + opt("standard", _STANDARD, priced) + opt("channel", _CHANNEL, priced))
+    else:
+        binds = ["127.0.0.1:0"] * 3 + ["nonsense", "127.0.0.1:70000", "[::1"]
+        argv = (opt("bind", st.sampled_from(binds), True) + opt("standard", _STANDARD)
+                + opt("channel", _CHANNEL) + opt("device-key", _KEY) + opt("depth", _DEPTH))
     path = draw(_INPUT)
     return [sub] + argv + ([f"--input={path}"] if path else [])
 
@@ -165,9 +174,14 @@ def workdir(tmp_path_factory):
 
 def _check_documented_exit(workdir, argv: list[str]) -> None:
     code, out, err = run_cli([arg.replace("{dir}", str(workdir)) for arg in argv])
-    assert code in (0, 2, 3, 4), err
+    assert code in ((0, 2, 3, 4, 5) if argv[0] == "serve" else (0, 2, 3, 4)), err
     assert "Traceback" not in err
-    if code and not err:
+    if argv[0] == "serve" and not code:
+        # It bound, was stopped at once, and printed the ledger of no requests.
+        assert err == "", err
+        ledger = re.escape("ops_total=0 [] cycles=0 energy=0.000000e+00 J")
+        assert re.fullmatch(rf"listening on 127\.0\.0\.1:\d+ \(.*\)\n{ledger}\n", out), out
+    elif code and not err:
         # validate reports the defects it finds on stdout, then exits 4.
         assert argv[0] == "validate" and code == 4 and "dataset defect(s)" in out
     elif code:
@@ -182,7 +196,9 @@ def _check_documented_exit(workdir, argv: list[str]) -> None:
 def test_every_command_line_exits_with_a_documented_code(workdir, sub, data, grid):
     argv = data.draw(command_lines(sub), label="argv")
     (workdir / "grid.csv").write_text(grid, encoding="utf-8")
-    _check_documented_exit(workdir, argv)
+    # A `serve` that binds is stopped at once, as a Ctrl-C would stop it.
+    with mock.patch.object(RamService, "serve_forever", side_effect=KeyboardInterrupt):
+        _check_documented_exit(workdir, argv)
 
 
 # The 50 drawn ram-run command lines never reach these depths: the deepest
@@ -654,10 +670,8 @@ def test_every_way_to_build_a_rail_fit_checks_it(slope, intercept, kind):
 @settings(max_examples=200)
 @given(depth=_FIELD_INTS, key=_FIELD_INTS)
 def test_every_way_to_build_a_ram_config_checks_it(depth, key):
-    forged = object.__new__(RamConfig)
-    object.__setattr__(forged, "depth_words", depth)
-    object.__setattr__(forged, "device_ipv6", key)
     _check_every_build(
-        RamConfig, ("depth_words", "device_ipv6"), (depth, key), RamConfig(), forged,
+        RamConfig, ("depth_words", "device_ipv6"), (depth, key), RamConfig(),
+        tuple.__new__(RamConfig, (depth, key)),
         _config_error(depth, key),
     )

@@ -28,11 +28,15 @@ def test_default_geometry(ram):
 
 
 def test_config_holds_only_depth_and_key():
-    assert RamConfig.__slots__ == ("depth_words", "device_ipv6")
+    assert RamConfig._fields == ("depth_words", "device_ipv6")
     cfg = RamConfig(64, KEY)
+    # A NamedTuple: equal to the plain tuple of its fields, and iterable.
+    assert cfg == (64, KEY)
+    assert list(cfg) == [64, KEY]
+    assert cfg._asdict() == {"depth_words": 64, "device_ipv6": KEY}
     assert cfg == RamConfig(depth_words=64, device_ipv6=KEY)
     assert cfg != RamConfig(65, KEY)
-    assert hash(cfg) == hash(RamConfig(64, KEY))
+    assert hash(cfg) == hash(RamConfig(64, KEY)) == hash((64, KEY))
     assert repr(cfg) == f"RamConfig(depth_words=64, device_ipv6={KEY})"
     with pytest.raises(AttributeError):
         cfg.depth_words = 128
