@@ -73,6 +73,10 @@ class PowerBreakdown(_PowerBreakdownFields):
     def _make(cls, iterable) -> PowerBreakdown:
         return cls(*iterable)
 
+    def __reduce__(self):
+        # Pickle protocols 0 and 1 would rebuild it with `tuple.__new__`.
+        return PowerBreakdown, tuple(self)
+
     def rail(self, rail: Rail) -> float:
         return getattr(self, rail.field)
 

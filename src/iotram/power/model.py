@@ -63,6 +63,10 @@ class RailFit(_RailFitFields):
     def _make(cls, iterable) -> RailFit:
         return cls(*iterable)
 
+    def __reduce__(self):
+        # Pickle protocols 0 and 1 would rebuild it with `tuple.__new__`.
+        return RailFit, tuple(self)
+
     def at(self, f_ghz: float) -> float:
         return self.slope_w_per_ghz * f_ghz + self.intercept_w
 

@@ -59,6 +59,10 @@ class RamConfig(_RamConfigFields):
     def _make(cls, iterable) -> RamConfig:
         return cls(*iterable)
 
+    def __reduce__(self):
+        # Pickle protocols 0 and 1 would rebuild it with `tuple.__new__`.
+        return RamConfig, tuple(self)
+
 
 class Status(enum.IntEnum):
     """Outcome of one access; each value is also a response frame's status byte."""

@@ -26,8 +26,10 @@ class TraceOp(typing.NamedTuple):
     data: int | None = None  # writes only
 
 
-def parse_trace(text: str) -> list[TraceOp]:
+def parse_trace(text: str, start: int = 1) -> list[TraceOp]:
     """The ops of a trace text, in order; TraceError for the first bad line.
+    `start` is the number of the text's first line, so that a piece of a
+    file cut right after a line feed keeps the file's line numbers.
 
     Each line is split once: `str.split()` drops the blanks that `strip()`
     would, and `w` and `r` are the only code points besides `W` and `R`
@@ -36,7 +38,7 @@ def parse_trace(text: str) -> list[TraceOp]:
     ops = []
     append = ops.append
     new = tuple.__new__
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=start):
         if "#" in line:
             line = line[:line.index("#")]
         parts = line.split()

@@ -320,7 +320,7 @@ CLI_CASES = [
      "--input", _T + "one.csv"],
     ["ram-run", "--trace", _T + "ops.trace", "--standard", "LVCMOS15", "--channel", "2.4",
      "--input", _T + "two.csv"],
-    # More than two batches of output lines plus a remainder.
+    # Two whole pieces of the trace plus a remainder.
     ["ram-run", "--trace", _T + "long.trace", "--depth", str(LONG_TRACE_DEPTH),
      "--standard", "LVCMOS18", "--channel", "5.0"],
     ["ram-run", "--trace", _T + "long.trace", "--depth", str(LONG_TRACE_DEPTH), "--key", "2001:db8::2"],

@@ -173,10 +173,9 @@ def test_names_the_bench_tracer_wraps_resolve(module, path):
     assert callable(getattr(owner, name))
 
 
-def test_priced_ram_run_calls_what_the_bench_tracer_wraps(tmp_path, monkeypatch, capsys):
-    # A wrapper only sees calls made through the attribute it replaces: the
-    # CLI must look these up as module names at call time, and `run_trace`
-    # must reach the RAM and the ledger through their methods, once per op.
+def _count_bench_wrapped_calls(monkeypatch) -> dict:
+    """Count the calls made through each name the bench tracer wraps in
+    `iotram.cli`, and through the RAM's and the ledger's methods."""
     import iotram.cli as cli
     from iotram.ram.core import EnergyLedger, IotRam
 
@@ -196,6 +195,16 @@ def test_priced_ram_run_calls_what_the_bench_tracer_wraps(tmp_path, monkeypatch,
             count_calls(cli, name)
     for owner, name in ((IotRam, "read"), (IotRam, "write"), (EnergyLedger, "record")):
         count_calls(owner, name)
+    return calls
+
+
+def test_priced_ram_run_calls_what_the_bench_tracer_wraps(tmp_path, monkeypatch, capsys):
+    # A wrapper only sees calls made through the attribute it replaces: the
+    # CLI must look these up as module names at call time, and `run_trace`
+    # must reach the RAM and the ledger through their methods, once per op.
+    import iotram.cli as cli
+
+    calls = _count_bench_wrapped_calls(monkeypatch)
     trace = tmp_path / "ops.trace"
     trace.write_text("W 0 1\nR 0\nR 999\nW 1 2\nR 1\n", encoding="utf-8")
     argv = ["ram-run", "--trace", str(trace), "--standard", "LVCMOS12", "--channel", "2.4"]
@@ -203,6 +212,25 @@ def test_priced_ram_run_calls_what_the_bench_tracer_wraps(tmp_path, monkeypatch,
     assert capsys.readouterr().out.count("\n") == 7
     assert calls == {
         "builtin_dataset": 1, "parse_trace": 1, "run_trace": 1, "power_at": 1,
+        "energy_per_cycle": 1, "read": 3, "write": 2, "record": 5,
+    }
+
+
+def test_ram_run_in_pieces_calls_what_the_bench_tracer_wraps(tmp_path, monkeypatch, capsys):
+    # The bench sums the spans of every piece: each piece is parsed and run
+    # through the module names, and each op still reaches the RAM and the
+    # ledger once.
+    import iotram.cli as cli
+
+    monkeypatch.setattr(cli, "_PIECE_CHARS", 1)
+    calls = _count_bench_wrapped_calls(monkeypatch)
+    trace = tmp_path / "ops.trace"
+    trace.write_text("W 0 1\nR 0\n# note\nR 999\nW 1 2\nR 1\n", encoding="utf-8")
+    argv = ["ram-run", "--trace", str(trace), "--standard", "LVCMOS12", "--channel", "2.4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 7
+    assert calls == {
+        "builtin_dataset": 1, "parse_trace": 6, "run_trace": 6, "power_at": 1,
         "energy_per_cycle": 1, "read": 3, "write": 2, "record": 5,
     }
 

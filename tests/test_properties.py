@@ -612,18 +612,19 @@ def _config_error(depth, key):
 def _check_every_build(cls, names, values, base, forged, want_error):
     """Build a `cls` with these field values every way there is: by position,
     by keyword, with `_make` (a NamedTuple's), with `_replace` of the valid
-    `base`, and as a pickle, copy and deep copy of `forged`, an instance made
-    past the checks. Each must give the field values unchanged, or raise
-    `want_error`, a (type, message) pair."""
+    `base`, and as a pickle under every protocol, copy and deep copy of
+    `forged`, an instance made past the checks. Each must give the field
+    values unchanged, or raise `want_error`, a (type, message) pair."""
     kwargs = dict(zip(names, values))
     builds = {
         "positional": lambda: cls(*values),
         "keyword": lambda: cls(**kwargs),
         "_replace": lambda: base._replace(**kwargs),
-        "pickle": lambda: pickle.loads(pickle.dumps(forged)),
         "copy": lambda: copy.copy(forged),
         "deepcopy": lambda: copy.deepcopy(forged),
     }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        builds[f"pickle {protocol}"] = lambda p=protocol: pickle.loads(pickle.dumps(forged, p))
     if hasattr(cls, "_make"):
         builds["_make"] = lambda: cls._make(values)
     want_repr = f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})"

@@ -5,11 +5,13 @@ texts."""
 import contextlib
 import io
 import ipaddress
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iotram import cli
 from iotram.cli import EXIT_OK, EXIT_VALIDATION, main
 from iotram.ram import EnergyLedger, IotRam, RamConfig, Status, TraceError, parse_trace, run_trace
 from iotram.ram.trace import TraceOp
@@ -279,22 +281,100 @@ def _printed(results: list, tally: dict) -> str:
     return "".join(lines)
 
 
-@settings(max_examples=150)
-@given(trace=trace_texts(), key_ok=st.booleans())
-def test_ram_run_prints_the_model_byte_for_byte(trace_path, trace, key_ok):
+def _ram_run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_ram_run_prints_the_model(trace_path, trace, key_ok):
     text, meanings = trace
     bad_lineno, want = _model(meanings, key_ok)
     trace_path.write_bytes(text.encode("utf-8"))
     argv = ["ram-run", "--trace", str(trace_path), "--depth", str(DEPTH)]
     if not key_ok:
         argv += ["--key", f"{WRONG:x}"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = _ram_run(argv)
     if bad_lineno is not None:
-        assert (code, out.getvalue()) == (EXIT_VALIDATION, ""), text
-        assert err.getvalue().startswith(f"iotram: malformed trace: line {bad_lineno}: ")
+        assert (code, out) == (EXIT_VALIDATION, ""), text
+        assert err.startswith(f"iotram: malformed trace: line {bad_lineno}: ")
         return
     results, tally, _ = want
-    assert (code, err.getvalue()) == (EXIT_OK, "")
-    assert out.getvalue() == _printed(results, tally)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == _printed(results, tally)
+
+
+@settings(max_examples=150)
+@given(trace=trace_texts(), key_ok=st.booleans())
+def test_ram_run_prints_the_model_byte_for_byte(trace_path, trace, key_ok):
+    _check_ram_run_prints_the_model(trace_path, trace, key_ok)
+
+
+@settings(max_examples=150)
+@given(trace=trace_texts(), key_ok=st.booleans())
+def test_ram_run_prints_the_model_byte_for_byte_in_pieces(trace_path, trace, key_ok):
+    # Pieces of a line or two, so that most traces span many of them.
+    with mock.patch.object(cli, "_PIECE_CHARS", 8):
+        _check_ram_run_prints_the_model(trace_path, trace, key_ok)
+
+
+@pytest.mark.parametrize("piece_chars", [cli._PIECE_CHARS, 8])
+@pytest.mark.parametrize("depth", ["64", "0"])
+def test_a_malformed_line_in_a_later_piece_prints_nothing(trace_path, piece_chars, depth):
+    # The line is also reported before a bad depth, as when the whole trace
+    # was parsed before the RAM was built.
+    trace_path.write_text("W 0 1\nR 0\n" * 50 + "R 0\nW 0\n", encoding="utf-8")
+    with mock.patch.object(cli, "_PIECE_CHARS", piece_chars):
+        code, out, err = _ram_run(["ram-run", "--trace", str(trace_path), "--depth", depth])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "iotram: malformed trace: line 102: write needs '<addr> <hex32>', got 'W 0'\n"
+
+
+# ------------------------------------------------- a trace cut into pieces
+
+#: Line ends that `str.splitlines` breaks at. A lone `\r` before the `\n` of
+#: an empty next line makes one `\r\n` break, which a cut must not split.
+_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])
+
+
+@st.composite
+def mixed_break_texts(draw) -> str:
+    lines = draw(st.lists(trace_lines(), max_size=30))
+    ends = draw(st.lists(_BREAKS, min_size=len(lines), max_size=len(lines)))
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for (line, _), end in zip(lines, ends))
+
+
+def _parsed(text: str, start: int = 1):
+    """The ops of `text`, or the line number and message of its TraceError."""
+    try:
+        return parse_trace(text, start)
+    except TraceError as err:
+        return err.lineno, str(err)
+
+
+@settings(max_examples=300)
+@given(text=mixed_break_texts(), data=st.data())
+def test_a_trace_cut_after_a_line_feed_parses_as_its_two_halves(text, data):
+    cut = data.draw(st.sampled_from([0] + [i + 1 for i, c in enumerate(text) if c == "\n"]))
+    a, b = text[:cut], text[cut:]
+    whole, first = _parsed(text), _parsed(a)
+    if type(first) is not list:
+        assert first == whole
+        return
+    second = _parsed(b, 1 + len(a.splitlines()))
+    assert (first + second if type(second) is list else second) == whole
+
+
+@settings(max_examples=150)
+@given(text=mixed_break_texts(), piece_chars=st.integers(1, 40), key_ok=st.booleans())
+def test_ram_run_prints_the_same_in_pieces_of_any_size(trace_path, text, piece_chars, key_ok):
+    trace_path.write_bytes(text.encode("utf-8"))
+    argv = ["ram-run", "--trace", str(trace_path), "--depth", str(DEPTH)]
+    if not key_ok:
+        argv += ["--key", f"{WRONG:x}"]
+    whole = _ram_run(argv)
+    with mock.patch.object(cli, "_PIECE_CHARS", piece_chars):
+        assert _ram_run(argv) == whole
