@@ -36,7 +36,7 @@ from .power.model import (
     predict,
 )
 from .power.reductions import ZeroBase, cross_check, reduction, unreachable_claims
-from .power.standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel
+from .power.standards import CHANNELS, STANDARDS, IoStandard, Rail, WlanChannel
 from .ram.core import KEY_MASK, EnergyLedger, InvalidConfig, IotRam, RamConfig, Status
 from .ram.trace import TraceError, parse_trace, run_trace
 
@@ -133,7 +133,7 @@ def cmd_table(args) -> int:
             print(f"Power consumption at {c.carrier_ghz} GHz ({c.ieee_name}), watts")
             header = f"{'rail':<10}" + "".join(f"{s.name:>10}" for s in standards)
             print(header)
-            for rail in POWER_RAILS + (Rail.TOTAL,):
+            for rail in Rail:
                 row = f"{rail.name.lower():<10}"
                 row += "".join(f"{cells[(s, c)].rail(rail):>10.3f}" for s in standards)
                 print(row)
@@ -246,7 +246,7 @@ def cmd_predict(args) -> int:
         _print_json(doc)
     else:
         print(f"predicted power for {standards[0].name} at {args.freq_ghz} GHz, watts")
-        for rail in POWER_RAILS + (Rail.TOTAL,):
+        for rail in Rail:
             print(f"{rail.name.lower():<10}{pb.rail(rail):>10.3f}")
     return EXIT_OK
 
@@ -347,6 +347,8 @@ def cmd_ram_run(args) -> int:
     key = device_key if args.key is None else _parse_key(args.key)
     if (args.standard is None) != (args.channel is None):
         raise CliError(EXIT_USAGE, "--standard and --channel must be given together")
+    if args.input is not None and args.standard is None:
+        raise CliError(EXIT_USAGE, "--input prices energy, so it needs --standard and --channel")
 
     # Pricing is checked before the trace runs, so that its errors come
     # with an empty stdout. An unpriced run prints no energy line.

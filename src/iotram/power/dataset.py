@@ -17,7 +17,8 @@ import types
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .standards import CHANNELS, POWER_RAILS, STANDARDS, IoStandard, Rail, WlanChannel, channel_at
+from .._record import checked_record
+from .standards import CHANNELS, STANDARDS, IoStandard, Rail, WlanChannel, channel_at
 
 #: Printed totals round per-rail; a stored total may differ from the rail sum
 #: by up to this many watts.
@@ -34,20 +35,12 @@ class MissingCell(KeyError):
         return str(self.args[0])
 
 
-class _PowerBreakdownFields(NamedTuple):
-    clock_w: float
-    signal_w: float
-    bram_w: float
-    io_w: float
-    leakage_w: float
-    total_w: float
-
-
-class PowerBreakdown(_PowerBreakdownFields):
-    """The five power rails plus the reported total, in watts.
-
-    A NamedTuple whose `__new__` checks every field; `_make`, and so
-    `_replace`, and unpickling and copying all build through it.
+class PowerBreakdown(checked_record(
+    "PowerBreakdown", "clock_w signal_w bram_w io_w leakage_w total_w"
+)):
+    """The five power rails plus the reported total, in watts. `__new__`
+    checks every field; every way of building one goes through it (see
+    `checked_record`).
     """
 
     __slots__ = ()
@@ -68,14 +61,6 @@ class PowerBreakdown(_PowerBreakdownFields):
                         raise ValueError(f"{field} must be >= 0, got {value}")
                     raise ValueError(f"{field} must be finite, got {value}")
         return tuple.__new__(cls, (clock_w, signal_w, bram_w, io_w, leakage_w, total_w))
-
-    @classmethod
-    def _make(cls, iterable) -> PowerBreakdown:
-        return cls(*iterable)
-
-    def __reduce__(self):
-        # Pickle protocols 0 and 1 would rebuild it with `tuple.__new__`.
-        return PowerBreakdown, tuple(self)
 
     def rail(self, rail: Rail) -> float:
         return getattr(self, rail.field)
@@ -275,7 +260,7 @@ def validate_dataset(ds: CalibrationDataset) -> list[Diagnostic]:
                 volt_breaks.setdefault(f"{ch.carrier_ghz} GHz", []).append((prev_std, prev, std, cell))
             prev_std, prev = std, cell
     _phrase_breaks(out, DiagnosticCode.MONOTONIC_FREQ, "frequency", freq_breaks,
-                   POWER_RAILS + (Rail.TOTAL,), lambda ch: f"at {ch.carrier_ghz} GHz")
+                   Rail, lambda ch: f"at {ch.carrier_ghz} GHz")
     _phrase_breaks(out, DiagnosticCode.MONOTONIC_VOLT, "supply voltage", volt_breaks,
                    (Rail.IO, Rail.TOTAL), lambda std: f"for {std.name}")
     return out

@@ -17,8 +17,8 @@ import enum
 import math
 import types
 from collections.abc import Mapping
-from typing import NamedTuple
 
+from .._record import checked_record
 from .dataset import CalibrationDataset, MissingCell, PowerBreakdown
 from .standards import IoStandard, Rail, channel_at
 
@@ -38,16 +38,10 @@ class FitKind(enum.Enum):
     AFFINE = "affine"
 
 
-class _RailFitFields(NamedTuple):
-    slope_w_per_ghz: float
-    intercept_w: float
-    fit_kind: FitKind
-
-
-class RailFit(_RailFitFields):
-    """One fitted line. A NamedTuple whose `__new__` raises DegenerateFit for
-    a slope or intercept that is not finite; `_make`, and so `_replace`,
-    and unpickling and copying all build through it."""
+class RailFit(checked_record("RailFit", "slope_w_per_ghz intercept_w fit_kind")):
+    """One fitted line. `__new__` raises DegenerateFit for a slope or
+    intercept that is not finite; every way of building one goes through it
+    (see `checked_record`)."""
 
     __slots__ = ()
 
@@ -59,31 +53,15 @@ class RailFit(_RailFitFields):
             )
         return tuple.__new__(cls, (slope_w_per_ghz, intercept_w, fit_kind))
 
-    @classmethod
-    def _make(cls, iterable) -> RailFit:
-        return cls(*iterable)
-
-    def __reduce__(self):
-        # Pickle protocols 0 and 1 would rebuild it with `tuple.__new__`.
-        return RailFit, tuple(self)
-
     def at(self, f_ghz: float) -> float:
         return self.slope_w_per_ghz * f_ghz + self.intercept_w
 
 
-class _ModelCoefficientsFields(NamedTuple):
-    clock: RailFit
-    signal: RailFit
-    bram: RailFit
-    io: Mapping[IoStandard, RailFit]
-    leakage: Mapping[IoStandard, RailFit]
-
-
-class ModelCoefficients(_ModelCoefficientsFields):
+class ModelCoefficients(checked_record("ModelCoefficients", "clock signal bram io leakage")):
     """One grid's fit. `io` and `leakage` are read-only mappings, because the
-    grid keeps its fit and hands the same coefficients to every caller; each
-    way of building one, `_make`, `_replace`, pickle and copies included,
-    copies them so."""
+    grid keeps its fit and hands the same coefficients to every caller;
+    `__new__`, which every way of building one goes through (see
+    `checked_record`), copies them so."""
 
     __slots__ = ()
 
@@ -95,10 +73,6 @@ class ModelCoefficients(_ModelCoefficientsFields):
             clock, signal, bram,
             types.MappingProxyType(dict(io)), types.MappingProxyType(dict(leakage)),
         ))
-
-    @classmethod
-    def _make(cls, iterable) -> ModelCoefficients:
-        return cls(*iterable)
 
     def __reduce__(self):
         # A read-only mapping cannot be pickled, so copies are built from dicts.

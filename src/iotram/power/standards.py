@@ -97,7 +97,8 @@ STANDARDS: tuple[IoStandard, ...] = tuple(
 
 
 class Rail(enum.Enum):
-    """One additive component of device power, plus the printed total."""
+    """One additive component of device power, plus the printed total,
+    in PowerBreakdown's field order."""
 
     CLOCK = "clock_w"
     SIGNAL = "signal_w"
@@ -118,13 +119,3 @@ class Rail(enum.Enum):
             return cls[text.strip().upper()]
         except KeyError:
             raise ValueError(f"unknown rail: {text!r}") from None
-
-
-#: The five summing rails, excluding TOTAL.
-POWER_RAILS: tuple[Rail, ...] = (
-    Rail.CLOCK,
-    Rail.SIGNAL,
-    Rail.BRAM,
-    Rail.IO,
-    Rail.LEAKAGE,
-)

@@ -15,7 +15,8 @@ one across threads must serialize operations themselves.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+
+from .._record import checked_record
 
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -29,17 +30,10 @@ class InvalidConfig(ValueError):
     """Rejected RAM configuration (depth outside 1..2**32, bad key)."""
 
 
-class _RamConfigFields(NamedTuple):
-    depth_words: int = 256
-    device_ipv6: int = 0
-
-
-class RamConfig(_RamConfigFields):
-    """Depth in 32-bit words plus the gate key.
-
-    A NamedTuple whose `__new__` raises InvalidConfig for a depth outside
-    1..2**32 or a key outside 128 bits; `_make`, and so `_replace`, and
-    unpickling and copying all build through it.
+class RamConfig(checked_record("RamConfig", "depth_words device_ipv6")):
+    """Depth in 32-bit words plus the gate key. `__new__` raises
+    InvalidConfig for a depth outside 1..2**32 or a key outside 128 bits;
+    every way of building one goes through it (see `checked_record`).
     """
 
     __slots__ = ()
@@ -54,14 +48,6 @@ class RamConfig(_RamConfigFields):
         if not 0 <= device_ipv6 <= KEY_MASK:
             raise InvalidConfig("device_ipv6 must fit in 128 bits")
         return tuple.__new__(cls, (depth_words, device_ipv6))
-
-    @classmethod
-    def _make(cls, iterable) -> RamConfig:
-        return cls(*iterable)
-
-    def __reduce__(self):
-        # Pickle protocols 0 and 1 would rebuild it with `tuple.__new__`.
-        return RamConfig, tuple(self)
 
 
 class Status(enum.IntEnum):

@@ -337,6 +337,19 @@ def test_ram_run_standard_requires_channel(capsys, tmp_path):
     assert "together" in err
 
 
+@pytest.mark.parametrize("calibration", ["/no/such.csv", "grid.csv"])
+def test_ram_run_input_requires_pricing(capsys, tmp_path, calibration):
+    trace = tmp_path / "ops.trace"
+    trace.write_text("W 0 1\nR 0\n")
+    (tmp_path / "grid.csv").write_text(CALIBRATION_HEADER + "\n")
+    code, out, err = run(
+        capsys, "ram-run", "--trace", str(trace), "--input", str(tmp_path / calibration)
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--input" in err and "--standard and --channel" in err
+
+
 def test_ram_run_missing_trace(capsys):
     code, _, err = run(capsys, "ram-run", "--trace", "/no/such.trace")
     assert code == EXIT_IO

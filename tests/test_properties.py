@@ -12,14 +12,18 @@ check to their first versions, copied here: the same cells or error text
 for texts written loosely, and the same diagnostics for perturbed grids. A
 grid of any finite non-negative floats reads back from its CSV exactly. A
 checked record (a `PowerBreakdown`, `RailFit` or `RamConfig`) accepts and
-rejects the same fields, with the same message, however it is built. Example counts are
-fixed, and the profile in conftest.py derandomizes every property test and
-lifts its deadline, so the run time is bounded and nothing depends on timing.
+rejects the same fields, with the same message, however it is built, and
+every record that checks in `__new__` is built on `checked_record`. Example
+counts are fixed, and the profile in conftest.py derandomizes every property
+test and lifts its deadline, so the run time is bounded and nothing depends
+on timing.
 """
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 import re
 from unittest import mock
 
@@ -27,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iotram
 from iotram.net.service import RamService
 from iotram.power import (
     CHANNELS,
@@ -54,7 +59,6 @@ from iotram.power.dataset import (
     DiagnosticCode,
 )
 from iotram.power.model import FitKind, RailFit
-from iotram.power.standards import POWER_RAILS
 from iotram.ram import InvalidConfig, RamConfig
 from golden_transcripts import run_cli
 
@@ -441,7 +445,7 @@ def _reference_validate(ds) -> list[Diagnostic]:
                     f"({std.name}, {ch.carrier_ghz} GHz)",
                 ))
     for std, row in rows:
-        for rail in POWER_RAILS + (Rail.TOTAL,):
+        for rail in Rail:
             for (ch_a, cell_a), (ch_b, cell_b) in zip(row, row[1:]):
                 w_a, w_b = getattr(cell_a, rail.field), getattr(cell_b, rail.field)
                 if w_b <= w_a:
@@ -676,3 +680,21 @@ def test_every_way_to_build_a_ram_config_checks_it(depth, key):
         tuple.__new__(RamConfig, (depth, key)),
         _config_error(depth, key),
     )
+
+
+def test_checked_records_build_through_checked_record():
+    # A record that checks in `__new__` but keeps the namedtuple's `_make`,
+    # or the default pickling, can be built past its check.
+    records = {}
+    for info in pkgutil.walk_packages(iotram.__path__, "iotram."):
+        for cls in vars(importlib.import_module(info.name)).values():
+            if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields"):
+                generated = next(c for c in cls.__mro__ if "_fields" in vars(c))
+                if cls.__new__ is not generated.__new__:
+                    records[cls.__qualname__] = cls
+    assert {"RamConfig", "PowerBreakdown", "RailFit", "ModelCoefficients"} <= set(records)
+    for name, cls in records.items():
+        assert cls._make.__func__.__module__ == "iotram._record", name
+        # A read-only mapping cannot be pickled, so a fit pickles its own way.
+        home = "iotram.power.model" if name == "ModelCoefficients" else "iotram._record"
+        assert cls.__reduce__.__module__ == home, name

@@ -7,7 +7,8 @@ import pickle
 import pytest
 
 from iotram.power import CHANNELS, STANDARDS, IoStandard, Rail, WlanChannel
-from iotram.power.standards import POWER_RAILS, channel_at
+from iotram.power.dataset import PowerBreakdown
+from iotram.power.standards import channel_at
 
 
 def test_supply_voltages():
@@ -126,6 +127,6 @@ def test_rail_fields():
         Rail.parse("thermal")
 
 
-def test_power_rails_exclude_total():
-    assert len(POWER_RAILS) == 5
-    assert Rail.TOTAL not in POWER_RAILS
+def test_rails_are_in_the_breakdown_field_order():
+    # Tables and `validate` list the rails by iterating over `Rail`.
+    assert tuple(rail.field for rail in Rail) == PowerBreakdown._fields
