@@ -9,9 +9,9 @@ real IPv6 routing.
 
 from __future__ import annotations
 
+import collections
 import enum
 import struct
-from typing import NamedTuple
 
 from ..ram.core import Status
 
@@ -39,18 +39,9 @@ class Opcode(enum.IntEnum):
     STATUS = 2
 
 
-class RequestFrame(NamedTuple):
-    opcode: int
-    target_key: int  # 128-bit unsigned
-    addr: int
-    data: int
-    seq: int
-
-
-class ResponseFrame(NamedTuple):
-    status: Status
-    data: int
-    seq: int
+# `target_key` is 128-bit unsigned.
+RequestFrame = collections.namedtuple("RequestFrame", "opcode target_key addr data seq")
+ResponseFrame = collections.namedtuple("ResponseFrame", "status data seq")
 
 
 def encode_request(opcode: int, target_key: int, addr: int, data: int, seq: int) -> bytes:

@@ -10,12 +10,12 @@ broken user-supplied grids can still be loaded and diagnosed.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
 import types
 from collections.abc import Mapping
-from typing import NamedTuple
 
 from .._record import checked_record
 from .standards import CHANNELS, STANDARDS, IoStandard, Rail, WlanChannel, channel_at
@@ -91,10 +91,8 @@ class DiagnosticCode(enum.Enum):
         return self in (DiagnosticCode.TABLE7_MISMATCH, DiagnosticCode.CLAIM_MISMATCH)
 
 
-class Diagnostic(NamedTuple):
-    code: DiagnosticCode
-    message: str
-    location: str
+class Diagnostic(collections.namedtuple("Diagnostic", "code message location")):
+    __slots__ = ()
 
     def render(self) -> str:
         return f"INCONSISTENCY {self.code.value:<16} {self.location}: {self.message}"

@@ -205,21 +205,25 @@ def predict(coeffs: ModelCoefficients, std: IoStandard, f_ghz: float) -> PowerBr
 def max_relative_residuals(
     ds: CalibrationDataset, coeffs: ModelCoefficients
 ) -> dict[str, float]:
-    """Worst |fit - value| / value per fitted series, keyed like "io[LVCMOS12]"."""
+    """Worst |fit - value| / value per fitted series, keyed like "io[LVCMOS12]".
+    DegenerateFit names the first series whose residual overflows, as one
+    against a subnormal value does."""
     out: dict[str, float] = {}
 
-    def worst(fit_: RailFit, points: list[tuple[float, float]]) -> float:
+    def worst(name: str, fit_: RailFit, points: list[tuple[float, float]]) -> None:
         # An all-zero series has no point to divide by, and none is needed: it
         # fits exactly with slope 0 and intercept 0.
-        return max((abs(fit_.at(f) - y) / y for f, y in points if y > 0), default=0.0)
+        out[name] = max((abs(fit_.at(f) - y) / y for f, y in points if y > 0), default=0.0)
+        if not out[name] < math.inf:
+            raise DegenerateFit(f"relative residual of {name} overflows")
 
     pooled = lambda rail: [p for std in ds.standards() for p in _series(ds, rail, std)]
-    out["clock"] = worst(coeffs.clock, pooled(Rail.CLOCK))
-    out["signal"] = worst(coeffs.signal, pooled(Rail.SIGNAL))
-    out["bram"] = worst(coeffs.bram, pooled(Rail.BRAM))
+    worst("clock", coeffs.clock, pooled(Rail.CLOCK))
+    worst("signal", coeffs.signal, pooled(Rail.SIGNAL))
+    worst("bram", coeffs.bram, pooled(Rail.BRAM))
     for std in ds.standards():
-        out[f"io[{std.name}]"] = worst(coeffs.io[std], _series(ds, Rail.IO, std))
-        out[f"leakage[{std.name}]"] = worst(coeffs.leakage[std], _series(ds, Rail.LEAKAGE, std))
+        worst(f"io[{std.name}]", coeffs.io[std], _series(ds, Rail.IO, std))
+        worst(f"leakage[{std.name}]", coeffs.leakage[std], _series(ds, Rail.LEAKAGE, std))
     return out
 
 

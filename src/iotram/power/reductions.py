@@ -15,9 +15,9 @@ IO-reduction figures at 2.4 GHz (the grid yields 64.99%).
 
 from __future__ import annotations
 
+import collections
 import math
 from collections.abc import Iterable, Iterator
-from typing import NamedTuple
 
 from .dataset import CalibrationDataset, Diagnostic, DiagnosticCode
 from .standards import CHANNELS, IoStandard, Rail, WlanChannel
@@ -35,13 +35,10 @@ class ZeroBase(ValueError):
     overflows, is undefined."""
 
 
-class ReductionReport(NamedTuple):
-    rail: Rail
-    base_std: IoStandard
-    alt_std: IoStandard
-    channel: WlanChannel
-    base_w: float
-    alt_w: float
+class ReductionReport(collections.namedtuple(
+    "ReductionReport", "rail base_std alt_std channel base_w alt_w"
+)):
+    __slots__ = ()
 
     @property
     def percent(self) -> float:
@@ -91,13 +88,8 @@ PUBLISHED_IO_COMPARISON: dict[IoStandard, dict[WlanChannel, float]] = {
 }
 
 
-class PublishedClaim(NamedTuple):
-    """One quoted reduction figure, always LVCMOS25 -> LVCMOS12."""
-
-    rail: Rail
-    channel: WlanChannel
-    quoted_percent: float
-    source: str
+PublishedClaim = collections.namedtuple("PublishedClaim", "rail channel quoted_percent source")
+PublishedClaim.__doc__ = "One quoted reduction figure, always LVCMOS25 -> LVCMOS12."
 
 
 PUBLISHED_CLAIMS: tuple[PublishedClaim, ...] = (

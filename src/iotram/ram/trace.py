@@ -6,7 +6,7 @@ decimal, data in hex; `#` starts a comment, blank lines are skipped.
 
 from __future__ import annotations
 
-import typing
+import collections
 
 from .core import WORD_MASK, EnergyLedger, IotRam, Status
 
@@ -19,11 +19,8 @@ class TraceError(ValueError):
         self.lineno = lineno
 
 
-class TraceOp(typing.NamedTuple):
-    lineno: int
-    is_write: bool
-    addr: int
-    data: int | None = None  # writes only
+# A read's `data` is None.
+TraceOp = collections.namedtuple("TraceOp", "lineno is_write addr data", defaults=(None,))
 
 
 def parse_trace(text: str, start: int = 1) -> list[TraceOp]:

@@ -12,7 +12,13 @@ either copy. Values in watts.
 
 `render_outcome` is the word `ram-run` prints for one executed op, written
 plainly: the oracle that the CLI's per-op line formats are held to.
+
+`each_other_python` runs a test once under each other CPython 3.1x that
+pyenv holds, passing the interpreter's path as `python`.
 """
+
+import pathlib
+import platform
 
 import pytest
 from hypothesis import settings
@@ -21,6 +27,18 @@ from iotram.ram import Status
 
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+# The interpreters themselves, not the pyenv shims, which may resolve to
+# another Python or to none.
+_OTHER_PYTHONS = sorted(
+    path for path in pathlib.Path.home().glob(".pyenv/versions/3.1*/bin/python3")
+    if path.parents[1].name != platform.python_version()
+)
+each_other_python = pytest.mark.parametrize(
+    "python",
+    _OTHER_PYTHONS or [pytest.param(None, marks=pytest.mark.skip(reason="no other CPython 3.1x"))],
+    ids=lambda path: path.parents[1].name if path else "none",
+)
 
 GOLDEN_TABLES = {
     0.9: {

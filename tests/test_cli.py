@@ -183,6 +183,21 @@ def test_fit_degenerate_series(capsys, tmp_path):
     assert out == ""
 
 
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fit_subnormal_cell_is_degenerate(capsys, tmp_path, fmt):
+    # The relative residual against a subnormal io value overflows; neither
+    # format may print it as `inf%` or as a JSON `Infinity`.
+    _, grid, _ = run(capsys, "table", "--format", "csv")
+    row = "LVCMOS12,0.9,0.061,0.033,1.148,0.060,"
+    assert row in grid
+    path = tmp_path / "sub.csv"
+    path.write_text(grid.replace(row, "LVCMOS12,0.9,0.061,0.033,1.148,5e-324,"))
+    code, out, err = run(capsys, "fit", "--input", str(path), "--format", fmt)
+    assert code == EXIT_VALIDATION
+    assert err == "iotram: degenerate fit: relative residual of io[LVCMOS12] overflows\n"
+    assert out == ""
+
 def test_predict_on_grid_frequency(capsys):
     code, out, _ = run(capsys, "predict", "--standard", "LVCMOS12", "--freq-ghz", "2.4", "--format", "json")
     assert code == EXIT_OK

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import os
 import pathlib
-import platform
 import subprocess
 
 import pytest
 
 import iotram
+from conftest import each_other_python
 from golden_transcripts import load, replay_wire, run_case, write_files
 
 GOLDEN = load()
@@ -34,19 +34,7 @@ def test_wire_transcript():
     assert ledger == wire["ledger"]
 
 
-# The interpreters themselves, not the pyenv shims, which may resolve to
-# another Python or to none.
-_OTHER_PYTHONS = sorted(
-    path for path in pathlib.Path.home().glob(".pyenv/versions/3.1*/bin/python3")
-    if path.parents[1].name != platform.python_version()
-)
-
-
-@pytest.mark.parametrize(
-    "python",
-    _OTHER_PYTHONS or [pytest.param(None, marks=pytest.mark.skip(reason="no other CPython 3.1x"))],
-    ids=lambda path: path.parents[1].name if path else "none",
-)
+@each_other_python
 def test_transcripts_replay_under_another_python(python):
     script = pathlib.Path(__file__).with_name("golden_transcripts.py")
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(iotram.__file__).parents[1])}

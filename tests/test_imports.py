@@ -4,11 +4,15 @@
 `import iotram.ram` neither the power model nor the wire protocol, and
 `import iotram.net` not the socket service; `import iotram.cli` must leave
 the socket service to `serve`: a priced `ram-run`, which tallies in the RAM's
-`EnergyLedger`, does not load it. None of them loads `dataclasses` or the
-`inspect` that it imports, and the CLI leaves `json` to JSON output. `iotram`
-imports its layers on first use, so the public names are also checked in a
-fresh interpreter, where that first use happens. Each package lists only
-names defined in its own modules.
+`EnergyLedger`, does not load it. None of them loads `dataclasses`, the
+`inspect` that it imports, or `typing`: every record is a
+`collections.namedtuple`. The CLI leaves `json` to JSON output. Each child
+runs under `python -S`, because a `.pth` file that `site` runs can load
+`typing` and others first, and a module loaded before the import would pass
+for one the import leaves alone. The same guards run under each other
+CPython 3.1x that pyenv holds. `iotram` imports its layers on first use, so
+the public names are also checked in a fresh interpreter, where that first
+use happens. Each package lists only names defined in its own modules.
 """
 
 import importlib
@@ -22,15 +26,22 @@ import pytest
 import iotram
 import iotram.net.endpoint
 import iotram.net.service
+from conftest import each_other_python
 
 PACKAGES = ("iotram.net", "iotram.power", "iotram.ram")
-#: Modules the plain record types leave unloaded.
-NO_RECORD_MACHINERY = ("dataclasses", "inspect")
+#: Modules the record types leave unloaded.
+NO_RECORD_MACHINERY = ("dataclasses", "inspect", "typing")
+#: Each package or the CLI, with the modules its import must not load.
+IMPORT_GUARDS = [
+    ("iotram.power", ("iotram.net", "iotram.ram", "socket", *NO_RECORD_MACHINERY)),
+    ("iotram.ram", ("iotram.net", "iotram.power", "socket", *NO_RECORD_MACHINERY)),
+    ("iotram.net", ("iotram.net.service", "socket", *NO_RECORD_MACHINERY)),
+    ("iotram.cli", ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)),
+]
 
 # Prints, one to a line, the modules that importing argv[1] adds to this
-# interpreter, so that whatever `site` loaded beforehand is left out. The
-# script itself imports only `sys`, so that a module the import loads is not
-# hidden by the script having loaded it first.
+# interpreter. The script itself imports only `sys`, so that a module the
+# import loads is not hidden by the script having loaded it first.
 _NEW_MODULES = """
 import sys
 before = set(sys.modules)
@@ -68,38 +79,46 @@ assert "iotram.net.service" not in sys.modules
 """
 
 
-def _child(script: str, *args: str) -> subprocess.CompletedProcess:
+def _child(script: str, *args: str, python=sys.executable) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(iotram.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=60
+        [str(python), "-S", "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
-@pytest.mark.parametrize(
-    "module,forbidden",
-    [
-        ("iotram.power", ("iotram.net", "iotram.ram", "socket", *NO_RECORD_MACHINERY)),
-        ("iotram.ram", ("iotram.net", "iotram.power", "socket", *NO_RECORD_MACHINERY)),
-        ("iotram.net", ("iotram.net.service", "socket", *NO_RECORD_MACHINERY)),
-        ("iotram.cli", ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)),
-    ],
-)
-def test_import_loads_only_what_it_uses(module, forbidden):
-    proc = _child(_NEW_MODULES, module)
+def _check_import(module: str, forbidden: tuple[str, ...], python=sys.executable) -> None:
+    proc = _child(_NEW_MODULES, module, python=python)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert module in loaded
-    assert _unwanted(loaded, forbidden) == []
+    assert _unwanted(loaded, forbidden) == [], module
 
 
-def test_priced_ram_run_loads_no_socket_code(tmp_path):
+def _check_priced_ram_run(tmp_path, python=sys.executable) -> None:
     trace = tmp_path / "ops.trace"
     trace.write_text("W 0 DEADBEEF\nR 0\nR 999\n", encoding="utf-8")
-    proc = _child(_RAM_RUN_MODULES, str(trace))
+    proc = _child(_RAM_RUN_MODULES, str(trace), python=python)
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "iotram.ram.core" in loaded
     assert _unwanted(loaded, ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)) == []
+
+
+@pytest.mark.parametrize("module,forbidden", IMPORT_GUARDS)
+def test_import_loads_only_what_it_uses(module, forbidden):
+    _check_import(module, forbidden)
+
+
+def test_priced_ram_run_loads_no_socket_code(tmp_path):
+    _check_priced_ram_run(tmp_path)
+
+
+@each_other_python
+def test_imports_load_only_what_they_use_under_another_python(python, tmp_path):
+    for module, forbidden in IMPORT_GUARDS:
+        _check_import(module, forbidden, python)
+    _check_priced_ram_run(tmp_path, python)
 
 
 def _unwanted(loaded: list[str], forbidden: tuple[str, ...]) -> list[str]:

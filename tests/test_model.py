@@ -190,6 +190,16 @@ def test_residuals_of_all_zero_series(ds):
     assert max_relative_residuals(zero_io, coeffs)["io[LVCMOS12]"] == 0.0
 
 
+
+def test_residual_overflow_is_degenerate(ds):
+    key = (IoStandard.LVCMOS12, WlanChannel.GHZ_0_9)
+    sub = CalibrationDataset(
+        cells={**ds.cells, key: ds.cells[key]._replace(io_w=5e-324)}, provenance="subnormal io"
+    )
+    coeffs = fit(sub)
+    with pytest.raises(DegenerateFit, match=r"relative residual of io\[LVCMOS12\] overflows"):
+        max_relative_residuals(sub, coeffs)
+
 def test_predict_totals_sum_of_rails(coeffs):
     pb = predict(coeffs, IoStandard.LVCMOS15, 4.4)
     assert math.isclose(pb.total_w, pb.rail_sum_w, rel_tol=1e-12)

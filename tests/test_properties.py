@@ -13,7 +13,10 @@ for texts written loosely, and the same diagnostics for perturbed grids. A
 grid of any finite non-negative floats reads back from its CSV exactly. A
 checked record (a `PowerBreakdown`, `RailFit` or `RamConfig`) accepts and
 rejects the same fields, with the same message, however it is built, and
-every record that checks in `__new__` is built on `checked_record`. Example
+every record that checks in `__new__` is built on `checked_record`. Every
+named tuple class in `iotram` has no instance `__dict__`, keeps its fields in
+their declared order, equals the plain tuple of its fields and comes back
+equal from pickle and deep copy. Example
 counts are fixed, and the profile in conftest.py derandomizes every property
 test and lifts its deadline, so the run time is bounded and nothing depends
 on timing.
@@ -58,8 +61,11 @@ from iotram.power.dataset import (
     Diagnostic,
     DiagnosticCode,
 )
-from iotram.power.model import FitKind, RailFit
-from iotram.ram import InvalidConfig, RamConfig
+from iotram.net.frames import Opcode, RequestFrame, ResponseFrame
+from iotram.power.model import FitKind, ModelCoefficients, RailFit
+from iotram.power.reductions import PUBLISHED_CLAIMS, reduction
+from iotram.ram import InvalidConfig, RamConfig, Status
+from iotram.ram.trace import TraceOp
 from golden_transcripts import run_cli
 
 STANDARD_NAMES = ("LVCMOS12", "LVCMOS15", "LVCMOS18", "LVCMOS25")
@@ -615,7 +621,7 @@ def _config_error(depth, key):
 
 def _check_every_build(cls, names, values, base, forged, want_error):
     """Build a `cls` with these field values every way there is: by position,
-    by keyword, with `_make` (a NamedTuple's), with `_replace` of the valid
+    by keyword, with `_make` (a named tuple's), with `_replace` of the valid
     `base`, and as a pickle under every protocol, copy and deep copy of
     `forged`, an instance made past the checks. Each must give the field
     values unchanged, or raise `want_error`, a (type, message) pair."""
@@ -682,19 +688,66 @@ def test_every_way_to_build_a_ram_config_checks_it(depth, key):
     )
 
 
+def _records() -> dict[str, type]:
+    """Every named tuple class that a module of `iotram` defines, by name."""
+    records = {}
+    for info in pkgutil.walk_packages(iotram.__path__, "iotram."):
+        for cls in vars(importlib.import_module(info.name)).values():
+            if (
+                isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+                and cls.__module__.startswith("iotram.")
+            ):
+                records[cls.__qualname__] = cls
+    return records
+
+
 def test_checked_records_build_through_checked_record():
     # A record that checks in `__new__` but keeps the namedtuple's `_make`,
     # or the default pickling, can be built past its check.
     records = {}
-    for info in pkgutil.walk_packages(iotram.__path__, "iotram."):
-        for cls in vars(importlib.import_module(info.name)).values():
-            if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields"):
-                generated = next(c for c in cls.__mro__ if "_fields" in vars(c))
-                if cls.__new__ is not generated.__new__:
-                    records[cls.__qualname__] = cls
-    assert {"RamConfig", "PowerBreakdown", "RailFit", "ModelCoefficients"} <= set(records)
+    for name, cls in _records().items():
+        generated = next(c for c in cls.__mro__ if "_fields" in vars(c))
+        if cls.__new__ is not generated.__new__:
+            records[name] = cls
+    assert set(records) == {"RamConfig", "PowerBreakdown", "RailFit", "ModelCoefficients"}
     for name, cls in records.items():
         assert cls._make.__func__.__module__ == "iotram._record", name
         # A read-only mapping cannot be pickled, so a fit pickles its own way.
         home = "iotram.power.model" if name == "ModelCoefficients" else "iotram._record"
         assert cls.__reduce__.__module__ == home, name
+
+
+def test_every_record_is_a_slotted_tuple_of_its_fields():
+    # One record of each class, with its fields in their declared order.
+    ds = builtin_dataset()
+    coeffs = fit(ds)
+    samples = {
+        "TraceOp": (TraceOp(7, False, 3), "lineno is_write addr data"),
+        "RequestFrame": (RequestFrame(Opcode.WRITE, 2**128 - 1, 3, 4, 5),
+                         "opcode target_key addr data seq"),
+        "ResponseFrame": (ResponseFrame(Status.OK, 0xDEADBEEF, 9), "status data seq"),
+        "Diagnostic": (Diagnostic(DiagnosticCode.ROW_SUM, "off by 1 W", "LVCMOS12 @ 0.9 GHz"),
+                       "code message location"),
+        "ReductionReport": (
+            reduction(ds, Rail.IO, IoStandard.LVCMOS25, IoStandard.LVCMOS12, WlanChannel.GHZ_2_4),
+            "rail base_std alt_std channel base_w alt_w",
+        ),
+        "PublishedClaim": (PUBLISHED_CLAIMS[0], "rail channel quoted_percent source"),
+        "RamConfig": (RamConfig(16, 5), "depth_words device_ipv6"),
+        "PowerBreakdown": (ds.cells[IoStandard.LVCMOS12, WlanChannel.GHZ_0_9],
+                           "clock_w signal_w bram_w io_w leakage_w total_w"),
+        "RailFit": (coeffs.signal, "slope_w_per_ghz intercept_w fit_kind"),
+        "ModelCoefficients": (coeffs, "clock signal bram io leakage"),
+    }
+    assert set(_records()) == set(samples)
+    for name, (record, fields) in samples.items():
+        cls, fields = type(record), tuple(fields.split())
+        assert cls.__name__ == name and cls._fields == fields, name
+        assert not hasattr(record, "__dict__"), name
+        values = tuple(getattr(record, field) for field in fields)
+        assert record == values and list(record._asdict().items()) == list(zip(fields, values))
+        assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+        copies = [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in [*copies, copy.deepcopy(record)]:
+            assert type(again) is cls and again == record, name
+    assert TraceOp(7, False, 3).data is None
