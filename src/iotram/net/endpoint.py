@@ -15,8 +15,8 @@ class BindFailure(OSError):
 
 
 class BadEndpoint(ValueError):
-    """An endpoint that is not "[host]:port" with a port in 0-65535, or whose
-    host the socket layer cannot encode."""
+    """An endpoint that is not "[host]:port" with a port of ASCII decimal
+    digits in 0-65535, or whose host the socket layer cannot encode."""
 
 
 def parse_endpoint(endpoint: str) -> tuple[str, int]:
@@ -35,10 +35,10 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
         host, sep, port = text.rpartition(":")
         if not sep:
             raise BadEndpoint(f"bad endpoint {endpoint!r} (expected host:port)")
-    try:
-        port_num = int(port)
-    except ValueError:
-        raise BadEndpoint(f"bad port in endpoint {endpoint!r}") from None
+    # int() alone would also take a sign, "_", spaces and non-ASCII digits.
+    if not (port.isascii() and port.isdigit()):
+        raise BadEndpoint(f"bad port in endpoint {endpoint!r}")
+    port_num = int(port)
     if not 0 <= port_num <= 65535:
         raise BadEndpoint(f"port out of range in endpoint {endpoint!r}")
     if "\x00" in host:

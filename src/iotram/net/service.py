@@ -34,6 +34,12 @@ from .frames import (
 _READ, _WRITE, _STATUS = Opcode.READ, Opcode.WRITE, Opcode.STATUS
 _OK, _BAD_OPCODE, _MALFORMED = Status.OK, Status.BAD_OPCODE, Status.MALFORMED
 
+# The most replies serve_forever holds back before it sends them. The limit
+# bounds how long a held reply waits (the handling of the requests queued
+# behind it) and how many replies are held at once, as the per-poll budget of
+# 64 bounds a receive batch in Linux NAPI.
+BATCH_LIMIT = 64
+
 
 def make_ledger(std: IoStandard, channel: WlanChannel, ds: CalibrationDataset) -> EnergyLedger:
     """Ledger priced at one operating point: the grid cell of the channel."""
@@ -67,7 +73,10 @@ class RamService:
     """UDP request/response loop over one RAM and one ledger.
 
     Requests are processed whole, in arrival order, under a single lock, so
-    observable behavior always matches a sequential interleaving.
+    observable behavior always matches a sequential interleaving. Each
+    request gets exactly one reply, and replies are sent in that same order;
+    serve_forever holds at most BATCH_LIMIT of them back while it handles the
+    requests already queued, then sends them.
     """
 
     def __init__(self, ram: IotRam, ledger: EnergyLedger, bind_endpoint: str = DEFAULT_BIND):
@@ -96,22 +105,48 @@ class RamService:
     def serve_forever(self) -> None:
         """Answer datagrams until close() is called. Per-frame errors never
         terminate the loop; a receive error that close() did not cause is
-        raised."""
+        raised.
+
+        The datagram that wakes the loop is answered at once. Those already
+        queued behind it are then received without blocking and handled in
+        turn, and their replies sent in the same order once a receive finds
+        the queue empty or BATCH_LIMIT replies are held."""
+        handle, stop = self.handle, self._stop
+        recvfrom, sendto = self._sock.recvfrom, self._sock.sendto
+        # A request is REQUEST_LEN bytes; a longer datagram arrives cut to
+        # one byte more, which is still malformed.
+        size = REQUEST_LEN + 1
         while True:
             try:
-                # A request is REQUEST_LEN bytes; a longer datagram arrives
-                # cut to one byte more, which is still malformed.
-                datagram, peer = self._sock.recvfrom(REQUEST_LEN + 1)
+                datagram, peer = recvfrom(size)
             except OSError:
-                if self._stop.is_set():
+                if stop.is_set():
                     return
                 raise
-            if self._stop.is_set():
+            if stop.is_set():
                 return
             try:
-                self._sock.sendto(self.handle(datagram), peer)
+                sendto(handle(datagram), peer)
             except OSError:
-                continue
+                pass
+            held = []
+            while len(held) < BATCH_LIMIT:
+                try:
+                    datagram, peer = recvfrom(size, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    break
+                except OSError:
+                    if stop.is_set():
+                        return
+                    raise
+                if stop.is_set():
+                    return
+                held.append((handle(datagram), peer))
+            for reply, peer in held:
+                try:
+                    sendto(reply, peer)
+                except OSError:
+                    pass
 
     def close(self) -> None:
         """Stop serve_forever, from any thread, and release the socket.

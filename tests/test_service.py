@@ -1,5 +1,6 @@
 """Datagram handling, the energy ledger, and the UDP loop."""
 
+import errno
 import ipaddress
 import math
 import socket
@@ -15,7 +16,7 @@ from iotram.net import (
     encode_request,
     parse_endpoint,
 )
-from iotram.net.service import RamService, handle_datagram, make_ledger
+from iotram.net.service import BATCH_LIMIT, RamService, handle_datagram, make_ledger
 from iotram.power import IoStandard, WlanChannel, builtin_dataset
 from iotram.ram import EnergyLedger, IotRam, RamConfig, Status
 
@@ -156,7 +157,8 @@ def test_parse_endpoint(endpoint, expected):
 @pytest.mark.parametrize(
     "endpoint",
     ["nope", "[::1]", "host:port", "x:70000", "x:-1", "\udcff:0", "\u00e9" * 70 + ":0",
-     "a\x00b:0", "[\u00e9\x00]:0"],
+     "a\x00b:0", "[\u00e9\x00]:0", "127.0.0.1:+80", "127.0.0.1:8_0",
+     "127.0.0.1:\u0668\u0660", "127.0.0.1: 80"],
 )
 def test_parse_endpoint_rejects(endpoint):
     with pytest.raises(BadEndpoint):
@@ -308,3 +310,124 @@ def test_service_context_manager(ram):
         resp = decode_response(svc.handle(encode_request(Opcode.STATUS, KEY, 0, 0, 1)))
         assert resp.status is Status.OK
         svc.close()  # leaving the block closes it a second time
+
+
+def _poke(frame, index, value):
+    raw = bytearray(frame)
+    raw[index] = value
+    return bytes(raw)
+
+
+# One builder per kind of datagram the loop must answer, indexed by position:
+# READ, WRITE and STATUS, a wrong key, an address past the depth, an unknown
+# opcode, bad magic, a bad version, an empty datagram, a short one, and a
+# valid request with one byte after it.
+_KINDS = (
+    lambda i: encode_request(Opcode.WRITE, KEY, i % 16, i * 7919, i),
+    lambda i: encode_request(Opcode.READ, KEY, i % 16, 0, i),
+    lambda i: encode_request(Opcode.STATUS, KEY, 0, 0, i),
+    lambda i: encode_request(Opcode.WRITE, WRONG, i % 16, i, i),
+    lambda i: encode_request(Opcode.READ, KEY, 256 + i, 0, i),
+    lambda i: _poke(encode_request(Opcode.READ, KEY, 0, 0, i), 3, 0x30),
+    lambda i: _poke(encode_request(Opcode.READ, KEY, 0, 0, i), 0, ord("X")),
+    lambda i: _poke(encode_request(Opcode.READ, KEY, 0, 0, i), 2, 7),
+    lambda i: b"",
+    lambda i: encode_request(Opcode.READ, KEY, 0, 0, i)[: 1 + i % 29],
+    lambda i: encode_request(Opcode.WRITE, KEY, i % 16, i, i) + b"\x00",
+)
+
+# Two full batches and a partial one: the first datagram is answered at once,
+# the next BATCH_LIMIT are held, and so on. The default receive buffer on
+# Linux (212,992 bytes) holds 256 such datagrams, so none is dropped.
+_WINDOW = 2 * (BATCH_LIMIT + 1) + 3
+
+
+def _hostile_mix(n):
+    return [_KINDS[i % len(_KINDS)](i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n_peers", [1, 2])
+def test_a_queued_window_is_answered_in_order(ram, ledger, n_peers):
+    # Every datagram is queued before the loop starts, so the loop drains
+    # them in batches. Each reply must be what handle_datagram gives a twin
+    # RAM fed the same datagrams in the same order, and reach its own peer in
+    # that peer's order.
+    datagrams = _hostile_mix(_WINDOW)
+    twin = IotRam(RamConfig(device_ipv6=KEY))
+    expected = [handle_datagram(d, twin, ledger) for d in datagrams]
+    svc = _service(ram)
+    peers = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(n_peers)]
+    try:
+        for i, datagram in enumerate(datagrams):
+            peers[i % n_peers].sendto(datagram, svc.address)
+        thread, raised = _loop_in_thread(svc)
+        for p, sock in enumerate(peers):
+            sock.settimeout(5.0)
+            got = [sock.recvfrom(64)[0] for _ in range(p, _WINDOW, n_peers)]
+            assert got == expected[p::n_peers]
+        svc.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert raised == []
+        # Exactly one reply each: nothing more arrived.
+        for sock in peers:
+            sock.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                sock.recvfrom(64)
+    finally:
+        svc.close()
+        for sock in peers:
+            sock.close()
+    assert svc.ledger.ops_by_status == ledger.ops_by_status
+    assert svc.ledger.cycles == ledger.cycles == ram.cycle_count == twin.cycle_count
+    assert svc.ledger.energy_j == ledger.energy_j
+
+
+def test_close_ends_the_loop_while_a_window_is_queued(ram):
+    svc = _service(ram)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        for datagram in _hostile_mix(_WINDOW):
+            sock.sendto(datagram, svc.address)
+        thread, raised = _loop_in_thread(svc)
+        svc.close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert raised == []
+
+
+class _FailingSocket:
+    """Gives one request, then fails the next receive, as a socket can fail
+    under the loop without close() being called."""
+
+    PEER = ("127.0.0.1", 9)
+
+    def __init__(self, datagram):
+        self.datagrams = [datagram]
+        self.sent = []
+
+    def recvfrom(self, size, flags=0):
+        if not self.datagrams:
+            raise OSError(errno.EIO, "receive failed")
+        return self.datagrams.pop(), self.PEER
+
+    def sendto(self, data, peer):
+        self.sent.append((data, peer))
+
+
+def test_a_receive_error_while_draining_ends_the_loop(ram):
+    svc = _service(ram)
+    real = svc._sock
+    request = encode_request(Opcode.STATUS, KEY, 0, 0, 5)
+    svc._sock = fake = _FailingSocket(request)
+    try:
+        thread, raised = _loop_in_thread(svc)
+        thread.join(timeout=5)
+    finally:
+        svc._sock = real
+        svc.close()
+    assert not thread.is_alive()
+    assert [exc.errno for exc in raised] == [errno.EIO]
+    # The request that woke the loop was answered before the failure.
+    assert [(decode_response(data).seq, peer) for data, peer in fake.sent] == [
+        (5, _FailingSocket.PEER)
+    ]
