@@ -9,7 +9,9 @@ one table, `_ERROR_EXITS`.
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
+import io
 import ipaddress
 import math
 import os
@@ -268,11 +270,19 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if fatal else EXIT_OK
 
 
-#: `ram-run` parses, runs and formats a trace a piece at a time, so that
-#: only one piece's ops and results are alive at once: a piece ends at the
-#: first line feed at or past this many characters, about 1,000 lines of
-#: short ops.
+#: `ram-run` reads, parses, runs and formats a trace a piece at a time, so
+#: that only one piece's ops and results are alive at once: a piece ends at
+#: the first line feed at or past this many characters, about 1,000 lines
+#: of short ops.
 _PIECE_CHARS = 12 * 1024
+
+#: `ram-run` holds its formatted lines in memory up to this many characters,
+#: then moves them, and every later piece's lines, to an unnamed temporary
+#: file until the last piece. The limit is about a quarter of the 250 KB
+#: that one piece's own ops and results take in tracemalloc, so held output
+#: never dominates the footprint, and a trace of up to about 1,400 short ops
+#: never touches the disk.
+_HELD_OUTPUT_CHARS = 64 * 1024
 
 #: The per-operation lines of `ram-run` as %-formats, by op and status: the
 #: line number, the op padded to 24 columns and the outcome word that the
@@ -292,53 +302,131 @@ _READ_FAILS = {
 }
 
 
-def _pieces(text: str):
-    """The pieces of `text`, each with the number of its first line. A piece
-    ends right after the first line feed at or past `_PIECE_CHARS`
-    characters from its start, or at the end of the text. A cut after a line
+def _pieces(path: str):
+    """The pieces of the trace file at `path`, each with the number of its
+    first line. The file is read and decoded a piece at a time, as UTF-8
+    with universal newlines, as `open(path, encoding="utf-8")` reads it. A
+    piece ends right after the first line feed at or past `_PIECE_CHARS`
+    characters from its start, or at the end of the file. A cut after a line
     feed is a `splitlines` break, so the pieces' line counts add up to the
-    text's."""
-    start, begin, end = 1, 0, len(text)
-    while begin < end:
-        cut = text.find("\n", begin + _PIECE_CHARS - 1) + 1 or end
-        piece = text[begin:cut]
-        yield piece, start
-        start += len(piece.splitlines())
-        begin = cut
+    text's. A file that cannot be read or is not UTF-8 is a CliError."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    # `searched` is where the search for a cut resumes: no line feed lies
+    # between the piece's `_PIECE_CHARS`th character and it, so a long
+    # stretch with no line feed is scanned once, not once a read.
+    start, text, read, searched = 1, "", 0, _PIECE_CHARS - 1
+    try:
+        with open(path, "rb") as fh:
+            while True:
+                data = fh.read(_PIECE_CHARS)
+                try:
+                    text += decoder.decode(data, final=not data)
+                except UnicodeDecodeError as exc:
+                    # The decoder counts from the start of the bytes it held
+                    # back and those just read; the message counts from the
+                    # start of the file, as when the file was decoded whole.
+                    bad = exc.object[exc.start : exc.end]
+                    at = read - len(decoder.getstate()[0]) + exc.start
+                    where = (f"byte 0x{bad[0]:02x} in position {at}" if len(bad) == 1
+                             else f"bytes in position {at}-{at + len(bad) - 1}")
+                    raise CliError(
+                        EXIT_IO,
+                        f"trace {path} is not UTF-8: "
+                        f"'utf-8' codec can't decode {where}: {exc.reason}",
+                    ) from None
+                read += len(data)
+                while cut := text.find("\n", searched) + 1 or (not data and len(text)):
+                    piece, text, searched = text[:cut], text[cut:], _PIECE_CHARS - 1
+                    yield piece, start
+                    start += len(piece.splitlines())
+                if not data:
+                    return
+                searched = max(searched, len(text))
+    except OSError as exc:
+        raise CliError(EXIT_IO, f"cannot read trace {path}: {exc}") from None
 
 
-def _replay(text: str, depth: int, device_key: int, key: int, ledger: EnergyLedger) -> int:
-    """Parse, run and format a trace on a fresh RAM a piece at a time, then
-    print a line per op; returns how many writes succeeded, which the
+def _parsed(path: str):
+    """Each piece's ops. A malformed line is raised only once the rest of the
+    file has been read, so that a byte that is not UTF-8 anywhere is
+    reported first, as when the file was read whole."""
+    pieces = _pieces(path)
+    for piece, start in pieces:
+        try:
+            # Not bound to a name here, so that the caller frees the ops.
+            yield parse_trace(piece, start)
+        except TraceError:
+            for _ in pieces:
+                pass
+            raise
+
+
+def _format(results, out: list) -> int:
+    """Append one piece's per-op lines to `out` as one string, filled in with
+    one `%`; returns how many of its writes succeeded."""
+    ok, writes = Status.OK, 0
+    write_lines, read_ok, read_fails = _WRITE_LINES, _READ_OK, _READ_FAILS
+    formats, values = [], []
+    add_format, add_values = formats.append, values.extend
+    for (lineno, is_write, addr, word), status, data in results:
+        if is_write:
+            writes += status is ok
+            add_format(write_lines[status])
+            add_values((lineno, "W %d %08X" % (addr, word)))
+        elif status is ok:
+            add_format(read_ok)
+            add_values((lineno, addr, data))
+        else:
+            add_format(read_fails[status])
+            add_values((lineno, addr))
+    out.append("".join(formats) % tuple(values))
+    return writes
+
+
+def _replay(path: str, depth: int, device_key: int, key: int, ledger: EnergyLedger) -> int:
+    """Read, parse, run and format a trace on a fresh RAM a piece at a time,
+    then print a line per op; returns how many writes succeeded, which the
     ledger's OK count includes. The lines are printed only after the last
-    piece, so a malformed line anywhere leaves stdout empty."""
+    piece, so a malformed line anywhere leaves stdout empty. Until then they
+    are held in memory, and past `_HELD_OUTPUT_CHARS` in an unnamed
+    temporary file, which is created only then."""
     try:
         ram = IotRam(RamConfig(depth_words=depth, device_ipv6=device_key))
     except InvalidConfig:
-        # A malformed line is reported before a bad depth, wherever it is.
-        for piece, start in _pieces(text):
-            parse_trace(piece, start)
+        # A byte that is not UTF-8, then a malformed line, is reported before
+        # a bad depth, wherever it is.
+        for _ in _parsed(path):
+            pass
         raise
-    ok, writes = Status.OK, 0
-    write_lines, read_ok, read_fails = _WRITE_LINES, _READ_OK, _READ_FAILS
-    printed = []
-    for piece, start in _pieces(text):
-        results = run_trace(ram, parse_trace(piece, start), key, ledger)
-        formats, values = [], []
-        add_format, add_values = formats.append, values.extend
-        for (lineno, is_write, addr, word), status, data in results:
-            if is_write:
-                writes += status is ok
-                add_format(write_lines[status])
-                add_values((lineno, "W %d %08X" % (addr, word)))
-            elif status is ok:
-                add_format(read_ok)
-                add_values((lineno, addr, data))
-            else:
-                add_format(read_fails[status])
-                add_values((lineno, addr))
-        printed.append("".join(formats) % tuple(values))
-    sys.stdout.writelines(printed)
+    writes, held, spill = 0, [], None
+    try:
+        try:
+            for ops in _parsed(path):
+                writes += _format(run_trace(ram, ops, key, ledger), held)
+                del ops  # freed before the next piece is parsed
+                if spill is None and sum(map(len, held)) > _HELD_OUTPUT_CHARS:
+                    import tempfile
+
+                    spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+                if spill is not None:
+                    spill.writelines(held)
+                    held.clear()
+            if spill is not None:
+                spill.seek(0)
+        except OSError as exc:
+            raise CliError(EXIT_IO, f"cannot hold ram-run output in a temporary file: {exc}") from None
+        if spill is None:
+            sys.stdout.writelines(held)
+        else:
+            import shutil
+
+            shutil.copyfileobj(spill, sys.stdout)
+    finally:
+        if spill is not None:
+            try:
+                spill.close()
+            except OSError:
+                pass  # only on a failure, when what it flushes is not wanted
     return writes
 
 
@@ -362,13 +450,6 @@ def cmd_ram_run(args) -> int:
         pb = power_at(ds, standards[0], channels[0].carrier_ghz)
         per_cycle = energy_per_cycle(pb, channels[0].carrier_ghz)
 
-    try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read trace {args.trace}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError(EXIT_IO, f"trace {args.trace} is not UTF-8: {exc}") from None
     ledger = EnergyLedger(per_cycle)
     # A piece's ops and results are tuples that form no cycle: the cyclic
     # collector would scan them about once a piece and free nothing, for
@@ -376,7 +457,7 @@ def cmd_ram_run(args) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        writes = _replay(text, args.depth, device_key, key, ledger)
+        writes = _replay(args.trace, args.depth, device_key, key, ledger)
     finally:
         if collecting:
             gc.enable()

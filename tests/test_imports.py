@@ -6,7 +6,9 @@
 the socket service to `serve`: a priced `ram-run`, which tallies in the RAM's
 `EnergyLedger`, does not load it. None of them loads `dataclasses`, the
 `inspect` that it imports, or `typing`: every record is a
-`collections.namedtuple`. The CLI leaves `json` to JSON output. Each child
+`collections.namedtuple`. The CLI leaves `json` to JSON output, and
+`tempfile` to a `ram-run` whose output passes what it holds in memory
+(64 KiB). Each child
 runs under `python -S`, because a `.pth` file that `site` runs can load
 `typing` and others first, and a module loaded before the import would pass
 for one the import leaves alone. The same guards run under each other
@@ -36,7 +38,7 @@ IMPORT_GUARDS = [
     ("iotram.power", ("iotram.net", "iotram.ram", "socket", *NO_RECORD_MACHINERY)),
     ("iotram.ram", ("iotram.net", "iotram.power", "socket", *NO_RECORD_MACHINERY)),
     ("iotram.net", ("iotram.net.service", "socket", *NO_RECORD_MACHINERY)),
-    ("iotram.cli", ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)),
+    ("iotram.cli", ("iotram.net.service", "socket", "json", "tempfile", *NO_RECORD_MACHINERY)),
 ]
 
 # Prints, one to a line, the modules that importing argv[1] adds to this
@@ -102,7 +104,8 @@ def _check_priced_ram_run(tmp_path, python=sys.executable) -> None:
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "iotram.ram.core" in loaded
-    assert _unwanted(loaded, ("iotram.net.service", "socket", "json", *NO_RECORD_MACHINERY)) == []
+    forbidden = ("iotram.net.service", "socket", "json", "tempfile", *NO_RECORD_MACHINERY)
+    assert _unwanted(loaded, forbidden) == []
 
 
 @pytest.mark.parametrize("module,forbidden", IMPORT_GUARDS)
