@@ -484,7 +484,8 @@ def cmd_serve(args) -> int:
     if len(standards) != 1 or len(channels) != 1:
         raise CliError(EXIT_USAGE, "serve takes a single standard and channel")
     device_key = _parse_key(args.device_key)
-    bind = args.bind or os.environ.get(BIND_ENV_VAR) or DEFAULT_BIND
+    # An empty IOTRAM_BIND counts as unset; an empty --bind is a bad endpoint.
+    bind = args.bind if args.bind is not None else os.environ.get(BIND_ENV_VAR) or DEFAULT_BIND
 
     ds = _load_dataset(args.input)
     ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))

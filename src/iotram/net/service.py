@@ -11,6 +11,7 @@ session's energy ledger prices accumulated cycles at the configured
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 
 from ..power.dataset import CalibrationDataset
@@ -20,6 +21,7 @@ from ..ram.core import EnergyLedger, IotRam, Status
 from .endpoint import DEFAULT_BIND, BindFailure, parse_endpoint
 from .frames import (
     REQUEST_LEN,
+    RESPONSE_LEN,
     MalformedFrame,
     Opcode,
     decode_request,
@@ -37,8 +39,16 @@ _OK, _BAD_OPCODE, _MALFORMED = Status.OK, Status.BAD_OPCODE, Status.MALFORMED
 # The most replies serve_forever holds back before it sends them. The limit
 # bounds how long a held reply waits (the handling of the requests queued
 # behind it) and how many replies are held at once, as the per-poll budget of
-# 64 bounds a receive batch in Linux NAPI.
+# 64 bounds a receive batch in Linux NAPI. It also keeps a segmented send
+# within UDP_MAX_SEGMENTS, the 64 segments Linux has taken since 4.18.
 BATCH_LIMIT = 64
+
+# The control message of a segmented send: Linux's UDP_SEGMENT option (103 in
+# linux/udp.h, which the socket module does not name) at level SOL_UDP, with
+# the segment size as a native-order u16. The kernel cuts the send into one
+# RESPONSE_LEN-byte datagram per reply, in order (UDP GSO, Linux 4.18).
+_UDP_SEGMENT = 103
+_SEGMENT_REPLIES = [(socket.SOL_UDP, _UDP_SEGMENT, RESPONSE_LEN.to_bytes(2, sys.byteorder))]
 
 
 def make_ledger(std: IoStandard, channel: WlanChannel, ds: CalibrationDataset) -> EnergyLedger:
@@ -74,14 +84,18 @@ class RamService:
 
     Requests are processed whole, in arrival order, under a single lock, so
     observable behavior always matches a sequential interleaving. Each
-    request gets exactly one reply, and replies are sent in that same order;
-    serve_forever holds at most BATCH_LIMIT of them back while it handles the
-    requests already queued, then sends them.
+    request gets exactly one reply datagram, and replies are sent in that
+    same order; serve_forever holds at most BATCH_LIMIT of them back while it
+    handles the requests already queued, then sends them. On Linux,
+    consecutive held replies to one peer leave in one segmented send, which
+    the kernel cuts into one datagram per reply, still in arrival order.
     """
 
     def __init__(self, ram: IotRam, ledger: EnergyLedger, bind_endpoint: str = DEFAULT_BIND):
         self.ram = ram
         self.ledger = ledger
+        # Cleared for good when a segmented send fails.
+        self._segmented = sys.platform == "linux"
         self._lock = threading.Lock()
         self._stop = threading.Event()
         host, port = parse_endpoint(bind_endpoint)
@@ -110,7 +124,10 @@ class RamService:
         The datagram that wakes the loop is answered at once. Those already
         queued behind it are then received without blocking and handled in
         turn, and their replies sent in the same order once a receive finds
-        the queue empty or BATCH_LIMIT replies are held."""
+        the queue empty or BATCH_LIMIT replies are held. Each run of held
+        replies to one peer is one segmented send, if the service segments;
+        if that send fails, the run goes one reply at a time, as every reply
+        does from then on."""
         handle, stop = self.handle, self._stop
         recvfrom, sendto = self._sock.recvfrom, self._sock.sendto
         # A request is REQUEST_LEN bytes; a longer datagram arrives cut to
@@ -129,8 +146,9 @@ class RamService:
                 sendto(handle(datagram), peer)
             except OSError:
                 pass
-            held = []
-            while len(held) < BATCH_LIMIT:
+            # Held replies as runs: (peer, its consecutive replies).
+            runs, last, held = [], None, 0
+            while held < BATCH_LIMIT:
                 try:
                     datagram, peer = recvfrom(size, socket.MSG_DONTWAIT)
                 except BlockingIOError:
@@ -141,12 +159,25 @@ class RamService:
                     raise
                 if stop.is_set():
                     return
-                held.append((handle(datagram), peer))
-            for reply, peer in held:
-                try:
-                    sendto(reply, peer)
-                except OSError:
-                    pass
+                if peer == last:
+                    replies.append(handle(datagram))
+                else:
+                    replies = [handle(datagram)]
+                    runs.append((peer, replies))
+                    last = peer
+                held += 1
+            for peer, replies in runs:
+                if len(replies) > 1 and self._segmented:
+                    try:
+                        self._sock.sendmsg([b"".join(replies)], _SEGMENT_REPLIES, 0, peer)
+                        continue
+                    except OSError:
+                        self._segmented = False
+                for reply in replies:
+                    try:
+                        sendto(reply, peer)
+                    except OSError:
+                        pass
 
     def close(self) -> None:
         """Stop serve_forever, from any thread, and release the socket.

@@ -558,6 +558,30 @@ def test_serve_honors_bind_env_var(capsys, monkeypatch):
         assert str(port) in err
 
 
+def test_serve_empty_bind_is_a_bad_endpoint(capsys, monkeypatch):
+    # An empty --bind is not an absent one: it must not fall through to
+    # IOTRAM_BIND, here an endpoint that cannot be bound.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        monkeypatch.setenv("IOTRAM_BIND", f"127.0.0.1:{holder.getsockname()[1]}")
+        code, out, err = run(capsys, "serve", "--bind", "")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "iotram: bad endpoint '' (expected host:port)\n"
+
+
+def test_serve_empty_bind_env_var_means_unset(capsys, monkeypatch):
+    # The default is used; proven by it failing.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", 0))
+        port = holder.getsockname()[1]
+        monkeypatch.setenv("IOTRAM_BIND", "")
+        monkeypatch.setattr(iotram.cli, "DEFAULT_BIND", f"127.0.0.1:{port}")
+        code, _, err = run(capsys, "serve")
+        assert code == EXIT_BIND
+        assert str(port) in err
+
+
 # A host the socket layer cannot encode: an argv or environment byte that is
 # not UTF-8, and a name whose IDNA label is longer than 63 characters.
 @pytest.mark.parametrize("host", [b"\xff", "\u00e9" * 70], ids=["non-utf8-byte", "long-idna-label"])

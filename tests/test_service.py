@@ -4,6 +4,8 @@ import errno
 import ipaddress
 import math
 import socket
+import struct
+import sys
 import threading
 
 import pytest
@@ -16,6 +18,7 @@ from iotram.net import (
     encode_request,
     parse_endpoint,
 )
+from iotram.net.frames import RESPONSE_LEN
 from iotram.net.service import BATCH_LIMIT, RamService, handle_datagram, make_ledger
 from iotram.power import IoStandard, WlanChannel, builtin_dataset
 from iotram.ram import EnergyLedger, IotRam, RamConfig, Status
@@ -431,3 +434,196 @@ def test_a_receive_error_while_draining_ends_the_loop(ram):
     assert [(decode_response(data).seq, peer) for data, peer in fake.sent] == [
         (5, _FailingSocket.PEER)
     ]
+
+
+# The control message a segmented send must carry: UDP_SEGMENT (103 in
+# linux/udp.h) at level SOL_UDP, with the segment size as a native u16.
+SEGMENTS = [(socket.SOL_UDP, 103, struct.pack("=H", RESPONSE_LEN))]
+A, B = ("127.0.0.1", 7001), ("127.0.0.1", 7002)
+
+
+class _ScriptedSocket:
+    """Hands the loop batches of (datagram, peer) and records what it sends.
+
+    A batch is queued when a blocking receive finds the queue empty, and a
+    non-blocking one then finds it empty; a blocking receive after the last
+    batch fails, which ends the loop. A segmented send is recorded with its
+    bytes joined.
+    """
+
+    def __init__(self, *batches):
+        self.batches = list(batches)
+        self.queue = []
+        self.sent = []
+
+    def recvfrom(self, size, flags=0):
+        if not self.queue:
+            if flags:
+                raise BlockingIOError(errno.EAGAIN, "queue empty")
+            if not self.batches:
+                raise OSError(errno.EIO, "receive failed")
+            self.queue = list(self.batches.pop(0))
+        return self.queue.pop(0)
+
+    def sendto(self, data, peer):
+        self.sent.append(("sendto", data, peer))
+
+    def sendmsg(self, buffers, ancdata, flags, peer):
+        self.sent.append(("sendmsg", b"".join(buffers), ancdata, flags, peer))
+        return sum(map(len, buffers))
+
+
+class _SegmentFailingSocket(_ScriptedSocket):
+    """Records each segmented send it is asked for, then fails it."""
+
+    def sendmsg(self, buffers, ancdata, flags, peer):
+        super().sendmsg(buffers, ancdata, flags, peer)
+        raise OSError(errno.EIO, "segmented send failed")
+
+
+def _serve_script(ram, monkeypatch, platform, fake):
+    """Serve the fake's batches on a service built on `platform`."""
+    with monkeypatch.context() as m:
+        m.setattr(sys, "platform", platform)
+        svc = _service(ram)
+    real, svc._sock = svc._sock, fake
+    try:
+        with pytest.raises(OSError) as raised:
+            svc.serve_forever()
+    finally:
+        svc._sock = real
+        svc.close()
+    assert raised.value.errno == errno.EIO
+
+
+def _requests(n, ledger):
+    """n requests and the replies a fresh RAM, tallying in `ledger`, gives
+    them in order."""
+    datagrams = _hostile_mix(n)
+    twin = IotRam(RamConfig(device_ipv6=KEY))
+    return datagrams, [handle_datagram(d, twin, ledger) for d in datagrams]
+
+
+@pytest.mark.parametrize("platform", ["linux", "darwin", "win32"])
+def test_a_run_of_replies_to_one_peer_is_one_segmented_send_on_linux(
+    ram, ledger, monkeypatch, platform
+):
+    # The waking datagram, then a drain that holds replies to A, A, A, B, A.
+    d, r = _requests(6, ledger)
+    fake = _ScriptedSocket(list(zip(d, [A, A, A, A, B, A])))
+    _serve_script(ram, monkeypatch, platform, fake)
+    if platform == "linux":
+        assert fake.sent == [
+            ("sendto", r[0], A),
+            ("sendmsg", r[1] + r[2] + r[3], SEGMENTS, 0, A),
+            ("sendto", r[4], B),
+            ("sendto", r[5], A),
+        ]
+    else:
+        # Elsewhere the loop sends one reply at a time.
+        assert fake.sent == [("sendto", reply, peer) for reply, peer in zip(r, [A, A, A, A, B, A])]
+
+
+def test_a_segmented_send_carries_at_most_batch_limit_replies(ram, ledger, monkeypatch):
+    # The drain stops at BATCH_LIMIT held replies, the limit of segments in
+    # one send; the datagram after them wakes the loop again.
+    d, r = _requests(BATCH_LIMIT + 2, ledger)
+    fake = _ScriptedSocket([(datagram, A) for datagram in d])
+    _serve_script(ram, monkeypatch, "linux", fake)
+    assert fake.sent == [
+        ("sendto", r[0], A),
+        ("sendmsg", b"".join(r[1:-1]), SEGMENTS, 0, A),
+        ("sendto", r[-1], A),
+    ]
+
+
+def test_a_failed_segmented_send_is_resent_a_reply_at_a_time_and_ends_segmenting(
+    ram, ledger, monkeypatch
+):
+    d, r = _requests(7, ledger)
+    fake = _SegmentFailingSocket(list(zip(d[:4], [A] * 4)), list(zip(d[4:], [A] * 3)))
+    _serve_script(ram, monkeypatch, "linux", fake)
+    assert fake.sent == [
+        ("sendto", r[0], A),
+        ("sendmsg", r[1] + r[2] + r[3], SEGMENTS, 0, A),
+        ("sendto", r[1], A),
+        ("sendto", r[2], A),
+        ("sendto", r[3], A),
+        # The next batch makes no segmented send.
+        ("sendto", r[4], A),
+        ("sendto", r[5], A),
+        ("sendto", r[6], A),
+    ]
+
+
+class _CountingSocket:
+    """A real socket that counts the segmented sends made through it."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.segmented = 0
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+    def sendmsg(self, *args):
+        self.segmented += 1
+        return self.sock.sendmsg(*args)
+
+
+def _ipv6_loopback():
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_DGRAM) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n_peers", [1, 2])
+@pytest.mark.parametrize(
+    "bind,family",
+    [
+        ("127.0.0.1:0", socket.AF_INET),
+        pytest.param(
+            "[::1]:0", socket.AF_INET6,
+            marks=pytest.mark.skipif(not _ipv6_loopback(), reason="::1 cannot be bound"),
+        ),
+    ],
+    ids=["ipv4", "ipv6"],
+)
+def test_queued_runs_arrive_as_one_datagram_per_reply(ram, ledger, bind, family, n_peers):
+    # Peers take turns in blocks of 7, so a drain holds runs to each peer.
+    # Each reply must still reach its own peer as its own datagram, in that
+    # peer's order, and equal what a twin RAM gives the same datagrams.
+    datagrams, expected = _requests(_WINDOW, ledger)
+    owner = [i // 7 % n_peers for i in range(_WINDOW)]
+    svc = _service(ram, bind)
+    svc._sock = counting = _CountingSocket(svc._sock)
+    peers = [socket.socket(family, socket.SOCK_DGRAM) for _ in range(n_peers)]
+    try:
+        for datagram, p in zip(datagrams, owner):
+            peers[p].sendto(datagram, svc.address)
+        thread, raised = _loop_in_thread(svc)
+        for p, sock in enumerate(peers):
+            sock.settimeout(5.0)
+            mine = [reply for reply, o in zip(expected, owner) if o == p]
+            assert [sock.recvfrom(64)[0] for _ in mine] == mine
+        svc.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert raised == []
+        for sock in peers:
+            sock.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                sock.recvfrom(64)
+    finally:
+        svc.close()
+        for sock in peers:
+            sock.close()
+    assert svc.ledger.ops_by_status == ledger.ops_by_status
+    assert svc.ledger.cycles == ledger.cycles == ram.cycle_count
+    assert svc.ledger.energy_j == ledger.energy_j
+    if sys.platform == "linux":
+        # The runs left in segmented sends, and none of them failed.
+        assert counting.segmented > 0 and svc._segmented
