@@ -10,6 +10,7 @@ session's energy ledger prices accumulated cycles at the configured
 
 from __future__ import annotations
 
+import errno
 import socket
 import sys
 import threading
@@ -50,6 +51,12 @@ BATCH_LIMIT = 64
 _UDP_SEGMENT = 103
 _SEGMENT_REPLIES = [(socket.SOL_UDP, _UDP_SEGMENT, RESPONSE_LEN.to_bytes(2, sys.byteorder))]
 
+# Errors of a segmented send that say the socket's path cannot segment: EIO
+# for a route through xfrm or, on older kernels, a device without checksum
+# offload, and the option unknown. Any other error, such as EINVAL for a peer
+# on port 0, belongs to that run alone.
+_CANNOT_SEGMENT = frozenset({errno.EIO, errno.ENOPROTOOPT, errno.EOPNOTSUPP})
+
 
 def make_ledger(std: IoStandard, channel: WlanChannel, ds: CalibrationDataset) -> EnergyLedger:
     """Ledger priced at one operating point: the grid cell of the channel."""
@@ -86,16 +93,15 @@ class RamService:
     observable behavior always matches a sequential interleaving. Each
     request gets exactly one reply datagram, and replies are sent in that
     same order; serve_forever holds at most BATCH_LIMIT of them back while it
-    handles the requests already queued, then sends them. On Linux,
-    consecutive held replies to one peer leave in one segmented send, which
-    the kernel cuts into one datagram per reply, still in arrival order.
+    handles the requests already queued, then sends them. Where the kernel
+    takes UDP_SEGMENT (Linux 4.18 on), consecutive held replies to one peer
+    leave in one segmented send, which the kernel cuts into one datagram per
+    reply, still in arrival order.
     """
 
     def __init__(self, ram: IotRam, ledger: EnergyLedger, bind_endpoint: str = DEFAULT_BIND):
         self.ram = ram
         self.ledger = ledger
-        # Cleared for good when a segmented send fails.
-        self._segmented = sys.platform == "linux"
         self._lock = threading.Lock()
         self._stop = threading.Event()
         host, port = parse_endpoint(bind_endpoint)
@@ -106,6 +112,16 @@ class RamService:
         except OSError as exc:
             self._sock.close()
             raise BindFailure(f"cannot bind {bind_endpoint}: {exc}") from exc
+        # Segment only where the kernel knows UDP_SEGMENT: one older than
+        # 4.18 ignores the control message and would send a run as one
+        # datagram. Setting the option to 0, its default, asks without
+        # segmenting any send. Cleared for good when a segmented send shows
+        # the path cannot segment.
+        try:
+            self._sock.setsockopt(socket.SOL_UDP, _UDP_SEGMENT, 0)
+            self._segmented = True
+        except OSError:
+            self._segmented = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -126,8 +142,8 @@ class RamService:
         turn, and their replies sent in the same order once a receive finds
         the queue empty or BATCH_LIMIT replies are held. Each run of held
         replies to one peer is one segmented send, if the service segments;
-        if that send fails, the run goes one reply at a time, as every reply
-        does from then on."""
+        if that send fails, the run goes one reply at a time, and if it failed
+        because the path cannot segment, every reply does from then on."""
         handle, stop = self.handle, self._stop
         recvfrom, sendto = self._sock.recvfrom, self._sock.sendto
         # A request is REQUEST_LEN bytes; a longer datagram arrives cut to
@@ -171,8 +187,9 @@ class RamService:
                     try:
                         self._sock.sendmsg([b"".join(replies)], _SEGMENT_REPLIES, 0, peer)
                         continue
-                    except OSError:
-                        self._segmented = False
+                    except OSError as exc:
+                        if exc.errno in _CANNOT_SEGMENT:
+                            self._segmented = False
                 for reply in replies:
                     try:
                         sendto(reply, peer)

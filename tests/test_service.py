@@ -3,9 +3,9 @@
 import errno
 import ipaddress
 import math
+import os
 import socket
 import struct
-import sys
 import threading
 
 import pytest
@@ -474,17 +474,39 @@ class _ScriptedSocket:
 
 
 class _SegmentFailingSocket(_ScriptedSocket):
-    """Records each segmented send it is asked for, then fails it."""
+    """Records each segmented send it is asked for, and fails the first with
+    the error `code`."""
+
+    def __init__(self, code, *batches):
+        super().__init__(*batches)
+        self.code = code
 
     def sendmsg(self, buffers, ancdata, flags, peer):
         super().sendmsg(buffers, ancdata, flags, peer)
-        raise OSError(errno.EIO, "segmented send failed")
+        if self.code is not None:
+            code, self.code = self.code, None
+            raise OSError(code, os.strerror(code))
 
 
-def _serve_script(ram, monkeypatch, platform, fake):
-    """Serve the fake's batches on a service built on `platform`."""
+def _probed_socket(supported):
+    """A socket class whose UDP_SEGMENT probe answers `supported`, whatever
+    the kernel would say."""
+
+    class Probed(socket.socket):
+        def setsockopt(self, level, option, *value):
+            if (level, option) != (socket.SOL_UDP, 103):
+                return super().setsockopt(level, option, *value)
+            if not supported:
+                raise OSError(errno.ENOPROTOOPT, os.strerror(errno.ENOPROTOOPT))
+
+    return Probed
+
+
+def _serve_script(ram, monkeypatch, fake, supported=True):
+    """Serve the fake's batches on a service whose probe found UDP_SEGMENT
+    if `supported`."""
     with monkeypatch.context() as m:
-        m.setattr(sys, "platform", platform)
+        m.setattr(socket, "socket", _probed_socket(supported))
         svc = _service(ram)
     real, svc._sock = svc._sock, fake
     try:
@@ -504,15 +526,15 @@ def _requests(n, ledger):
     return datagrams, [handle_datagram(d, twin, ledger) for d in datagrams]
 
 
-@pytest.mark.parametrize("platform", ["linux", "darwin", "win32"])
-def test_a_run_of_replies_to_one_peer_is_one_segmented_send_on_linux(
-    ram, ledger, monkeypatch, platform
+@pytest.mark.parametrize("supported", [True, False], ids=["segments", "no-segments"])
+def test_a_run_of_replies_to_one_peer_is_one_segmented_send_where_the_kernel_segments(
+    ram, ledger, monkeypatch, supported
 ):
     # The waking datagram, then a drain that holds replies to A, A, A, B, A.
     d, r = _requests(6, ledger)
     fake = _ScriptedSocket(list(zip(d, [A, A, A, A, B, A])))
-    _serve_script(ram, monkeypatch, platform, fake)
-    if platform == "linux":
+    _serve_script(ram, monkeypatch, fake, supported)
+    if supported:
         assert fake.sent == [
             ("sendto", r[0], A),
             ("sendmsg", r[1] + r[2] + r[3], SEGMENTS, 0, A),
@@ -520,16 +542,20 @@ def test_a_run_of_replies_to_one_peer_is_one_segmented_send_on_linux(
             ("sendto", r[5], A),
         ]
     else:
-        # Elsewhere the loop sends one reply at a time.
+        # A kernel without UDP_SEGMENT would ignore the control message and
+        # send a run as one datagram, so the loop sends one reply at a time.
         assert fake.sent == [("sendto", reply, peer) for reply, peer in zip(r, [A, A, A, A, B, A])]
 
 
 def test_a_segmented_send_carries_at_most_batch_limit_replies(ram, ledger, monkeypatch):
+    # A run is at most UDP_MAX_SEGMENTS, 64 on kernels since 4.18; a larger
+    # send fails with EINVAL there, though newer kernels take more.
+    assert BATCH_LIMIT <= 64
     # The drain stops at BATCH_LIMIT held replies, the limit of segments in
     # one send; the datagram after them wakes the loop again.
     d, r = _requests(BATCH_LIMIT + 2, ledger)
     fake = _ScriptedSocket([(datagram, A) for datagram in d])
-    _serve_script(ram, monkeypatch, "linux", fake)
+    _serve_script(ram, monkeypatch, fake)
     assert fake.sent == [
         ("sendto", r[0], A),
         ("sendmsg", b"".join(r[1:-1]), SEGMENTS, 0, A),
@@ -537,23 +563,49 @@ def test_a_segmented_send_carries_at_most_batch_limit_replies(ram, ledger, monke
     ]
 
 
-def test_a_failed_segmented_send_is_resent_a_reply_at_a_time_and_ends_segmenting(
-    ram, ledger, monkeypatch
+@pytest.mark.parametrize(
+    "code,ends_segmenting",
+    [
+        (errno.EIO, True),
+        (errno.ENOPROTOOPT, True),
+        (errno.EOPNOTSUPP, True),
+        # A peer on port 0 gets EINVAL, and a full queue ENOBUFS: neither
+        # says the path cannot segment.
+        (errno.EINVAL, False),
+        (errno.ENOBUFS, False),
+    ],
+    ids=["EIO", "ENOPROTOOPT", "EOPNOTSUPP", "EINVAL", "ENOBUFS"],
+)
+def test_a_failed_segmented_send_is_resent_a_reply_at_a_time(
+    ram, ledger, monkeypatch, code, ends_segmenting
 ):
     d, r = _requests(7, ledger)
-    fake = _SegmentFailingSocket(list(zip(d[:4], [A] * 4)), list(zip(d[4:], [A] * 3)))
-    _serve_script(ram, monkeypatch, "linux", fake)
-    assert fake.sent == [
+    fake = _SegmentFailingSocket(code, list(zip(d[:4], [A] * 4)), list(zip(d[4:], [A] * 3)))
+    _serve_script(ram, monkeypatch, fake)
+    assert fake.sent[:5] == [
         ("sendto", r[0], A),
         ("sendmsg", r[1] + r[2] + r[3], SEGMENTS, 0, A),
         ("sendto", r[1], A),
         ("sendto", r[2], A),
         ("sendto", r[3], A),
-        # The next batch makes no segmented send.
-        ("sendto", r[4], A),
-        ("sendto", r[5], A),
-        ("sendto", r[6], A),
     ]
+    if ends_segmenting:
+        # The next batch makes no segmented send.
+        assert fake.sent[5:] == [("sendto", r[4], A), ("sendto", r[5], A), ("sendto", r[6], A)]
+    else:
+        assert fake.sent[5:] == [("sendto", r[4], A), ("sendmsg", r[5] + r[6], SEGMENTS, 0, A)]
+
+
+def test_the_probe_leaves_every_send_unsegmented(ram):
+    # The probe must not set a segment size on the socket: that would put
+    # every send, a lone reply too, through the kernel's segmenting checks.
+    svc = _service(ram)
+    try:
+        if not svc._segmented:
+            pytest.skip("the kernel does not take UDP_SEGMENT")
+        assert svc._sock.getsockopt(socket.SOL_UDP, 103) == 0
+    finally:
+        svc.close()
 
 
 class _CountingSocket:
@@ -599,6 +651,7 @@ def test_queued_runs_arrive_as_one_datagram_per_reply(ram, ledger, bind, family,
     datagrams, expected = _requests(_WINDOW, ledger)
     owner = [i // 7 % n_peers for i in range(_WINDOW)]
     svc = _service(ram, bind)
+    probed = svc._segmented
     svc._sock = counting = _CountingSocket(svc._sock)
     peers = [socket.socket(family, socket.SOCK_DGRAM) for _ in range(n_peers)]
     try:
@@ -624,6 +677,5 @@ def test_queued_runs_arrive_as_one_datagram_per_reply(ram, ledger, bind, family,
     assert svc.ledger.ops_by_status == ledger.ops_by_status
     assert svc.ledger.cycles == ledger.cycles == ram.cycle_count
     assert svc.ledger.energy_j == ledger.energy_j
-    if sys.platform == "linux":
-        # The runs left in segmented sends, and none of them failed.
-        assert counting.segmented > 0 and svc._segmented
+    # Segmented sends were made only where the probe found UDP_SEGMENT.
+    assert probed or counting.segmented == 0
