@@ -496,6 +496,10 @@ def cmd_serve(args) -> int:
     # close the socket and print the ledger.
     try:
         host, port = service.address
+        # An IPv6 host is bracketed, as --bind takes it: "::1:80" would read
+        # as one IPv6 literal.
+        if ":" in host:
+            host = f"[{host}]"
         print(
             f"listening on {host}:{port} ({standards[0].name}, "
             f"{channels[0].carrier_ghz} GHz, {ledger.per_cycle_j:.6e} J/cycle)"

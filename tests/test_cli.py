@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -24,9 +25,11 @@ from iotram.cli import (
     EXIT_VALIDATION,
     main,
 )
+from iotram.net import parse_endpoint
 from iotram.net.service import RamService
 from iotram.power import read_calibration, builtin_dataset
 from iotram.power.dataset import CALIBRATION_HEADER
+from test_service import _ipv6_loopback
 
 
 def run(capsys, *argv):
@@ -636,6 +639,19 @@ def test_serve_receive_error_exits_3(capsys, monkeypatch):
     assert code == EXIT_IO
     assert out.endswith("ops_total=0 [] cycles=0 energy=0.000000e+00 J\n")
     assert err == "iotram: receive failed\n"
+
+
+@pytest.mark.skipif(not _ipv6_loopback(), reason="::1 cannot be bound")
+def test_serve_brackets_an_ipv6_host_in_the_listening_line(capsys, monkeypatch):
+    # "::1:80" would itself read as one IPv6 literal; the line gives the
+    # endpoint as --bind takes it.
+    monkeypatch.setattr(RamService, "serve_forever", lambda self: None)
+    code, out, _ = run(capsys, "serve", "--bind", "[::1]:0")
+    assert code == EXIT_OK
+    line = out.splitlines()[0]
+    assert re.fullmatch(r"listening on \[::1\]:\d+ \(LVCMOS12, 2\.4 GHz, \S+ J/cycle\)", line), line
+    host, port = parse_endpoint(line.split()[2])
+    assert host == "::1" and port > 0
 
 
 def test_unknown_subcommand_exits_2():

@@ -4,9 +4,10 @@
 `import iotram.ram` neither the power model nor the wire protocol, and
 `import iotram.net` not the socket service; `import iotram.cli` must leave
 the socket service to `serve`: a priced `ram-run`, which tallies in the RAM's
-`EnergyLedger`, does not load it. None of them loads `dataclasses`, the
-`inspect` that it imports, or `typing`: every record is a
-`collections.namedtuple`. The CLI leaves `json` to JSON output, and
+`EnergyLedger`, does not load it. `serve` itself, whose service binds
+through `_socket`, loads neither `socket` nor `selectors`. None of them
+loads `dataclasses`, the `inspect` that it imports, or `typing`: every
+record is a `collections.namedtuple`. The CLI leaves `json` to JSON output, and
 `tempfile` to a `ram-run` whose output passes what it holds in memory
 (64 KiB). Each child
 runs under `python -S`, because a `.pth` file that `site` runs can load
@@ -17,6 +18,7 @@ the public names are also checked in a fresh interpreter, where that first
 use happens. Each package lists only names defined in its own modules.
 """
 
+import errno
 import importlib
 import os
 import pathlib
@@ -38,6 +40,7 @@ IMPORT_GUARDS = [
     ("iotram.power", ("iotram.net", "iotram.ram", "socket", *NO_RECORD_MACHINERY)),
     ("iotram.ram", ("iotram.net", "iotram.power", "socket", *NO_RECORD_MACHINERY)),
     ("iotram.net", ("iotram.net.service", "socket", *NO_RECORD_MACHINERY)),
+    ("iotram.net.service", ("socket", "selectors", *NO_RECORD_MACHINERY)),
     ("iotram.cli", ("iotram.net.service", "socket", "json", "tempfile", *NO_RECORD_MACHINERY)),
 ]
 
@@ -62,6 +65,21 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["ram-run", "--trace", sys.argv[1], "--standard", "LVCMOS12", "--channel", "2.4"]
     )
 assert code == 0, code
+print(*sorted(set(sys.modules) - before), sep="\\n")
+"""
+
+# Runs `serve` on 127.0.0.1:0 through `iotram.cli.main`, with a loop that
+# returns at once and its output held apart, and prints, one to a line, the
+# modules that the run loaded, `iotram.net.service` among them.
+_SERVE_MODULES = """
+import contextlib, io, sys
+before = set(sys.modules)
+import iotram.cli, iotram.net.service
+iotram.net.service.RamService.serve_forever = lambda self: None
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = iotram.cli.main(["serve", "--bind", "127.0.0.1:0"])
+assert code == 0, code
+assert out.getvalue().startswith("listening on 127.0.0.1:"), out.getvalue()
 print(*sorted(set(sys.modules) - before), sep="\\n")
 """
 
@@ -108,6 +126,17 @@ def _check_priced_ram_run(tmp_path, python=sys.executable) -> None:
     assert _unwanted(loaded, forbidden) == []
 
 
+def _check_serve(python=sys.executable) -> None:
+    # The service binds through `_socket`: `socket` and what it loads
+    # (`selectors`, `select`, `array`) would cost `serve` start-up 4-8 ms
+    # and give it nothing it uses.
+    proc = _child(_SERVE_MODULES, python=python)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "iotram.net.service" in loaded
+    assert _unwanted(loaded, ("socket", "selectors", "select", "array")) == []
+
+
 @pytest.mark.parametrize("module,forbidden", IMPORT_GUARDS)
 def test_import_loads_only_what_it_uses(module, forbidden):
     _check_import(module, forbidden)
@@ -117,11 +146,16 @@ def test_priced_ram_run_loads_no_socket_code(tmp_path):
     _check_priced_ram_run(tmp_path)
 
 
+def test_serve_loads_no_socket_module():
+    _check_serve()
+
+
 @each_other_python
 def test_imports_load_only_what_they_use_under_another_python(python, tmp_path):
     for module, forbidden in IMPORT_GUARDS:
         _check_import(module, forbidden, python)
     _check_priced_ram_run(tmp_path, python)
+    _check_serve(python)
 
 
 def _unwanted(loaded: list[str], forbidden: tuple[str, ...]) -> list[str]:
@@ -183,40 +217,43 @@ BENCH_WRAPPED = [
     ("iotram.net.service", "power_at"),
     ("iotram.net.service", "energy_per_cycle"),
     ("iotram.net.service", "EnergyLedger.record"),
+    ("iotram.net.service", "decode_request"),
+    ("iotram.net.service", "encode_response"),
+    ("iotram.net.service", "handle_datagram"),
+    ("iotram.net.service", "RamService.handle"),
+    ("iotram.ram.core", "IotRam.read"),
+    ("iotram.ram.core", "IotRam.write"),
 ]
 
 
-@pytest.mark.parametrize("module,path", BENCH_WRAPPED)
-def test_names_the_bench_tracer_wraps_resolve(module, path):
+def _wrapped_owner(module: str, path: str) -> tuple[object, str]:
+    """The object that holds a wrapped name, and the name's last part."""
     owner = importlib.import_module(module)
     *outer, name = path.split(".")
     for part in outer:
         owner = getattr(owner, part)
+    return owner, name
+
+
+@pytest.mark.parametrize("module,path", BENCH_WRAPPED)
+def test_names_the_bench_tracer_wraps_resolve(module, path):
+    owner, name = _wrapped_owner(module, path)
     assert callable(getattr(owner, name))
 
 
 def _count_bench_wrapped_calls(monkeypatch) -> dict:
-    """Count the calls made through each name the bench tracer wraps in
-    `iotram.cli`, and through the RAM's and the ledger's methods."""
-    import iotram.cli as cli
-    from iotram.ram.core import EnergyLedger, IotRam
-
+    """Count the calls made through each name the bench tracer wraps, by the
+    name's last part."""
     calls = {}
-
-    def count_calls(owner, name):
+    for module, path in BENCH_WRAPPED:
+        owner, name = _wrapped_owner(module, path)
         inner = getattr(owner, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return inner(*args, **kwargs)
+        def wrapper(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
-
-    for module, name in BENCH_WRAPPED:
-        if module == "iotram.cli":
-            count_calls(cli, name)
-    for owner, name in ((IotRam, "read"), (IotRam, "write"), (EnergyLedger, "record")):
-        count_calls(owner, name)
     return calls
 
 
@@ -254,6 +291,40 @@ def test_ram_run_in_pieces_calls_what_the_bench_tracer_wraps(tmp_path, monkeypat
     assert calls == {
         "builtin_dataset": 1, "parse_trace": 6, "run_trace": 6, "power_at": 1,
         "energy_per_cycle": 1, "read": 3, "write": 2, "record": 5,
+    }
+
+
+def test_a_served_batch_calls_what_the_bench_tracer_wraps(monkeypatch):
+    # The serve-path spans give the bench its per-layer figures, and a layer
+    # with no span has none: each datagram the loop answers must pass through
+    # the service's names once, and each READ or WRITE through the RAM's.
+    # Every kind of datagram comes twice, from two peers, in two batches.
+    from test_service import A, B, KEY, _KINDS, _ScriptedSocket, _hostile_mix, _service
+
+    from iotram.net.frames import RESPONSE_LEN
+    from iotram.ram.core import IotRam, RamConfig
+
+    calls = _count_bench_wrapped_calls(monkeypatch)
+    datagrams = _hostile_mix(2 * len(_KINDS))
+    peers = [A, B] * len(_KINDS)
+    fake = _ScriptedSocket(
+        list(zip(datagrams[: len(_KINDS)], peers)), list(zip(datagrams[len(_KINDS) :], peers))
+    )
+    ram = IotRam(RamConfig(device_ipv6=KEY))
+    svc = _service(ram)
+    real, svc._sock = svc._sock, fake
+    try:
+        with pytest.raises(OSError) as raised:
+            svc.serve_forever()
+    finally:
+        svc._sock = real
+        svc.close()
+    assert raised.value.errno == errno.EIO
+    n = len(datagrams)
+    assert sum(len(sent[1]) for sent in fake.sent) == n * RESPONSE_LEN
+    assert calls == {
+        "power_at": 1, "energy_per_cycle": 1, "handle": n, "handle_datagram": n,
+        "decode_request": n, "encode_response": n, "record": n, "read": 4, "write": 4,
     }
 
 

@@ -1,6 +1,10 @@
-"""Datagram handling, the energy ledger, and the UDP loop."""
+"""Datagram handling, the energy ledger, and the UDP loop; and a property
+that `ram-run` and the service answer one trace alike."""
 
+import _socket
+import contextlib
 import errno
+import io
 import ipaddress
 import math
 import os
@@ -9,7 +13,10 @@ import struct
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iotram import cli
 from iotram.net import (
     BadEndpoint,
     BindFailure,
@@ -20,7 +27,7 @@ from iotram.net import (
 )
 from iotram.net.frames import RESPONSE_LEN
 from iotram.net.service import BATCH_LIMIT, RamService, handle_datagram, make_ledger
-from iotram.power import IoStandard, WlanChannel, builtin_dataset
+from iotram.power import CHANNELS, IoStandard, WlanChannel, builtin_dataset
 from iotram.ram import EnergyLedger, IotRam, RamConfig, Status
 
 KEY = int(ipaddress.IPv6Address("2001:db8::1"))
@@ -490,9 +497,10 @@ class _SegmentFailingSocket(_ScriptedSocket):
 
 def _probed_socket(supported):
     """A socket class whose UDP_SEGMENT probe answers `supported`, whatever
-    the kernel would say."""
+    the kernel would say: a subclass of `_socket.socket`, the class that the
+    service builds."""
 
-    class Probed(socket.socket):
+    class Probed(_socket.socket):
         def setsockopt(self, level, option, *value):
             if (level, option) != (socket.SOL_UDP, 103):
                 return super().setsockopt(level, option, *value)
@@ -506,7 +514,7 @@ def _serve_script(ram, monkeypatch, fake, supported=True):
     """Serve the fake's batches on a service whose probe found UDP_SEGMENT
     if `supported`."""
     with monkeypatch.context() as m:
-        m.setattr(socket, "socket", _probed_socket(supported))
+        m.setattr(_socket, "socket", _probed_socket(supported))
         svc = _service(ram)
     real, svc._sock = svc._sock, fake
     try:
@@ -679,3 +687,73 @@ def test_queued_runs_arrive_as_one_datagram_per_reply(ram, ledger, bind, family,
     assert svc.ledger.energy_j == ledger.energy_j
     # Segmented sends were made only where the probe found UDP_SEGMENT.
     assert probed or counting.segmented == 0
+
+
+# ------------------------------------------- one RAM, two front ends
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ram-run") / "ops.trace"
+
+
+#: The status of each outcome word `ram-run` prints; a ReadOk's data follows
+#: the word.
+_OUTCOMES = {
+    "WriteOk": Status.OK,
+    "ReadOk": Status.OK,
+    "AuthFail": Status.AUTH_FAIL,
+    "AddrRange": Status.ADDR_RANGE,
+}
+
+
+@settings(max_examples=60)
+@given(
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 19), st.integers(0, 2**32 - 1)), max_size=30
+    ),
+    depth=st.integers(1, 16),
+    key_ok=st.booleans(),
+    std=st.sampled_from(IoStandard),
+    channel=st.sampled_from(CHANNELS),
+)
+def test_ram_run_and_the_service_answer_a_trace_alike(trace_path, ops, depth, key_ok, std, channel):
+    # `ram-run` and `serve` drive the same RAM and ledger: a trace run by the
+    # one and sent, op by op, as datagrams to the other gives the same status
+    # and read data per op, and the same counts and energy line.
+    key = KEY if key_ok else WRONG
+    trace_path.write_text(
+        "".join(f"W {addr} {word:X}\n" if is_write else f"R {addr}\n" for is_write, addr, word in ops),
+        encoding="utf-8",
+    )
+    argv = ["ram-run", "--trace", str(trace_path), "--depth", str(depth),
+            "--device-key", f"{KEY:x}", "--key", f"{key:x}",
+            "--standard", std.name, "--channel", str(channel.carrier_ghz)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    *op_lines, counts, energy = out.getvalue().splitlines()
+    run = []
+    for line in op_lines:
+        word, *data = line.split("-> ")[1].split()
+        run.append((_OUTCOMES[word], int(data[0], 16) if data else 0))
+
+    ram = IotRam(RamConfig(depth_words=depth, device_ipv6=KEY))
+    ledger = make_ledger(std, channel, builtin_dataset())
+    served = []
+    for seq, (is_write, addr, word) in enumerate(ops):
+        opcode, data = (Opcode.WRITE, word) if is_write else (Opcode.READ, 0)
+        reply = decode_response(handle_datagram(encode_request(opcode, key, addr, data, seq), ram, ledger))
+        assert reply.seq == seq
+        served.append((reply.status, reply.data))
+    assert run == served
+    writes = sum(is_write and status is Status.OK for (is_write, _, _), (status, _) in zip(ops, served))
+    count = ledger.ops_by_status.get
+    assert counts == (
+        f"cycles={ram.cycle_count} writes={writes} reads={count(Status.OK, 0) - writes} "
+        f"auth_fails={count(Status.AUTH_FAIL, 0)} range_errors={count(Status.ADDR_RANGE, 0)}"
+    )
+    assert ledger.cycles == ram.cycle_count == len(ops)
+    assert energy == (
+        f"energy: {ledger.energy_j:.6e} J ({ledger.per_cycle_j:.6e} J/cycle at {std.name}, "
+        f"{channel.carrier_ghz} GHz)"
+    )
