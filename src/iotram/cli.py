@@ -76,6 +76,16 @@ def _parse_channels(text: str) -> list[WlanChannel]:
     return list(CHANNELS) if text.strip().lower() == "all" else [_parse(WlanChannel, text)]
 
 
+def _operating_point(args, subject: str) -> tuple[IoStandard, WlanChannel]:
+    """The one standard and one channel that `--standard` and `--channel`
+    name; "all" in either is a usage error that names `subject`."""
+    standards = _parse_standards(args.standard)
+    channels = _parse_channels(args.channel)
+    if len(standards) != 1 or len(channels) != 1:
+        raise CliError(EXIT_USAGE, f"{subject} takes a single standard and channel")
+    return standards[0], channels[0]
+
+
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -442,13 +452,10 @@ def cmd_ram_run(args) -> int:
     # with an empty stdout. An unpriced run prints no energy line.
     per_cycle = 0.0
     if args.standard is not None:
-        standards = _parse_standards(args.standard)
-        channels = _parse_channels(args.channel)
-        if len(standards) != 1 or len(channels) != 1:
-            raise CliError(EXIT_USAGE, "energy pricing takes a single standard and channel")
+        std, ch = _operating_point(args, "energy pricing")
         ds = _load_dataset(args.input)
-        pb = power_at(ds, standards[0], channels[0].carrier_ghz)
-        per_cycle = energy_per_cycle(pb, channels[0].carrier_ghz)
+        pb = power_at(ds, std, ch.carrier_ghz)
+        per_cycle = energy_per_cycle(pb, ch.carrier_ghz)
 
     ledger = EnergyLedger(per_cycle)
     # A piece's ops and results are tuples that form no cycle: the cyclic
@@ -469,8 +476,7 @@ def cmd_ram_run(args) -> int:
     if args.standard is not None:
         print(
             f"energy: {ledger.energy_j:.6e} J "
-            f"({per_cycle:.6e} J/cycle at {standards[0].name}, "
-            f"{channels[0].carrier_ghz} GHz)"
+            f"({per_cycle:.6e} J/cycle at {std.name}, {ch.carrier_ghz} GHz)"
         )
     return EXIT_OK
 
@@ -479,17 +485,14 @@ def cmd_serve(args) -> int:
     # Only this subcommand needs the socket code.
     from .net.service import RamService, make_ledger
 
-    standards = _parse_standards(args.standard)
-    channels = _parse_channels(args.channel)
-    if len(standards) != 1 or len(channels) != 1:
-        raise CliError(EXIT_USAGE, "serve takes a single standard and channel")
+    std, ch = _operating_point(args, "serve")
     device_key = _parse_key(args.device_key)
     # An empty IOTRAM_BIND counts as unset; an empty --bind is a bad endpoint.
     bind = args.bind if args.bind is not None else os.environ.get(BIND_ENV_VAR) or DEFAULT_BIND
 
     ds = _load_dataset(args.input)
     ram = IotRam(RamConfig(depth_words=args.depth, device_ipv6=device_key))
-    ledger = make_ledger(standards[0], channels[0], ds)
+    ledger = make_ledger(std, ch, ds)
     service = RamService(ram, ledger, bind)
 
     # Ctrl-C may arrive while the listening line is printed; it must still
@@ -501,8 +504,8 @@ def cmd_serve(args) -> int:
         if ":" in host:
             host = f"[{host}]"
         print(
-            f"listening on {host}:{port} ({standards[0].name}, "
-            f"{channels[0].carrier_ghz} GHz, {ledger.per_cycle_j:.6e} J/cycle)"
+            f"listening on {host}:{port} ({std.name}, "
+            f"{ch.carrier_ghz} GHz, {ledger.per_cycle_j:.6e} J/cycle)"
         )
         service.serve_forever()
     except KeyboardInterrupt:

@@ -2,7 +2,10 @@
 
 The builtin grid holds the published power tables for the IoT-RAM design on
 the 40nm FPGA: one six-field cell per (LVCMOS standard, WLAN channel) pair,
-stored at milliwatt precision exactly as printed. Printed totals round each
+stored at milliwatt precision exactly as printed. It is kept as calibration
+text, which `read_calibration` parses once per process, so it passes the same
+checks as a file: eight fields a line, finite non-negative values, a channel
+that matches exactly and no duplicate cell. Printed totals round each
 rail independently, so a cell's rails may sum up to 5 mW away from its total;
 `validate_dataset` checks that tolerance rather than the constructor, so that
 broken user-supplied grids can still be loaded and diagnosed.
@@ -158,51 +161,41 @@ class CalibrationDataset:
             raise MissingCell(f"no cell for ({std.name}, {ch.carrier_ghz} GHz)") from None
 
 
-# Per-channel blocks mirroring the published tables: each row is one standard's
-# (clock, signal, bram, io, leakage, total) in watts, exactly as printed.
-_GRID: dict[float, dict[str, tuple[float, float, float, float, float, float]]] = {
-    0.9: {
-        "LVCMOS12": (0.061, 0.033, 1.148, 0.060, 1.321, 2.624),
-        "LVCMOS15": (0.061, 0.033, 1.148, 0.086, 1.322, 2.651),
-        "LVCMOS18": (0.061, 0.033, 1.148, 0.109, 1.323, 2.675),
-        "LVCMOS25": (0.061, 0.033, 1.148, 0.171, 1.325, 2.739),
-    },
-    2.4: {
-        "LVCMOS12": (0.161, 0.091, 3.062, 0.160, 1.374, 4.849),
-        "LVCMOS15": (0.161, 0.091, 3.062, 0.229, 1.376, 4.920),
-        "LVCMOS18": (0.161, 0.091, 3.062, 0.292, 1.378, 4.985),
-        "LVCMOS25": (0.161, 0.091, 3.062, 0.457, 1.383, 5.155),
-    },
-    3.6: {
-        "LVCMOS12": (0.246, 0.138, 4.593, 0.240, 1.419, 6.637),
-        "LVCMOS15": (0.246, 0.138, 4.593, 0.343, 1.422, 6.744),
-        "LVCMOS18": (0.246, 0.138, 4.593, 0.437, 1.425, 6.841),
-        "LVCMOS25": (0.246, 0.138, 4.593, 0.686, 1.433, 7.096),
-    },
-    5.0: {
-        "LVCMOS12": (0.341, 0.192, 6.380, 0.333, 1.476, 8.724),
-        "LVCMOS15": (0.341, 0.192, 6.380, 0.477, 1.480, 8.872),
-        "LVCMOS18": (0.341, 0.192, 6.380, 0.608, 1.485, 9.007),
-        "LVCMOS25": (0.341, 0.192, 6.380, 0.952, 1.496, 9.363),
-    },
-    5.9: {
-        "LVCMOS12": (0.403, 0.226, 7.528, 0.393, 1.515, 10.067),
-        "LVCMOS15": (0.403, 0.226, 7.528, 0.563, 1.520, 10.242),
-        "LVCMOS18": (0.403, 0.226, 7.528, 0.717, 1.525, 10.402),
-        "LVCMOS25": (0.403, 0.226, 7.528, 1.124, 1.539, 10.822),
-    },
-}
+CALIBRATION_HEADER = "standard,channel_ghz,clock_w,signal_w,bram_w,io_w,leakage_w,total_w"
+
+# The published power tables in the calibration text format, a block of rows
+# per channel as the tables run: each row is one standard's rails and total in
+# watts, exactly as printed. `read_calibration` parses it as it parses a file.
+_BUILTIN_TEXT = CALIBRATION_HEADER + """
+LVCMOS12,0.9,0.061,0.033,1.148,0.060,1.321,2.624
+LVCMOS15,0.9,0.061,0.033,1.148,0.086,1.322,2.651
+LVCMOS18,0.9,0.061,0.033,1.148,0.109,1.323,2.675
+LVCMOS25,0.9,0.061,0.033,1.148,0.171,1.325,2.739
+LVCMOS12,2.4,0.161,0.091,3.062,0.160,1.374,4.849
+LVCMOS15,2.4,0.161,0.091,3.062,0.229,1.376,4.920
+LVCMOS18,2.4,0.161,0.091,3.062,0.292,1.378,4.985
+LVCMOS25,2.4,0.161,0.091,3.062,0.457,1.383,5.155
+LVCMOS12,3.6,0.246,0.138,4.593,0.240,1.419,6.637
+LVCMOS15,3.6,0.246,0.138,4.593,0.343,1.422,6.744
+LVCMOS18,3.6,0.246,0.138,4.593,0.437,1.425,6.841
+LVCMOS25,3.6,0.246,0.138,4.593,0.686,1.433,7.096
+LVCMOS12,5.0,0.341,0.192,6.380,0.333,1.476,8.724
+LVCMOS15,5.0,0.341,0.192,6.380,0.477,1.480,8.872
+LVCMOS18,5.0,0.341,0.192,6.380,0.608,1.485,9.007
+LVCMOS25,5.0,0.341,0.192,6.380,0.952,1.496,9.363
+LVCMOS12,5.9,0.403,0.226,7.528,0.393,1.515,10.067
+LVCMOS15,5.9,0.403,0.226,7.528,0.563,1.520,10.242
+LVCMOS18,5.9,0.403,0.226,7.528,0.717,1.525,10.402
+LVCMOS25,5.9,0.403,0.226,7.528,1.124,1.539,10.822
+"""
 
 BUILTIN_PROVENANCE = "builtin: 40nm FPGA IoT-RAM power tables, LVCMOS12-25 x 0.9-5.9 GHz"
 
 
 @functools.cache
 def _builtin_cells() -> dict[tuple[IoStandard, WlanChannel], PowerBreakdown]:
-    return {
-        (IoStandard[std_name], WlanChannel.from_ghz(ghz)): PowerBreakdown(*row)
-        for ghz, rows in _GRID.items()
-        for std_name, row in rows.items()
-    }
+    # A plain dict, which `CalibrationDataset` copies faster than a mapping view.
+    return dict(read_calibration(_BUILTIN_TEXT).cells)
 
 
 def builtin_dataset() -> CalibrationDataset:
@@ -280,9 +273,6 @@ def _phrase_breaks(out, code, axis, breaks, rails, name) -> None:
                         f"{w_a:.3f} W {name(key_a)} vs {w_b:.3f} W {name(key_b)}",
                         f"({place}, {rail_name})",
                     ))
-
-
-CALIBRATION_HEADER = "standard,channel_ghz,clock_w,signal_w,bram_w,io_w,leakage_w,total_w"
 
 
 def write_calibration(ds: CalibrationDataset) -> str:

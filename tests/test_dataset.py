@@ -20,7 +20,7 @@ from iotram.power import (
     validate_dataset,
     write_calibration,
 )
-from iotram.power.dataset import CALIBRATION_HEADER, ROW_SUM_TOLERANCE_W, DiagnosticCode
+from iotram.power.dataset import _BUILTIN_TEXT, CALIBRATION_HEADER, ROW_SUM_TOLERANCE_W, DiagnosticCode
 
 @pytest.fixture
 def ds():
@@ -46,6 +46,16 @@ def test_builtin_complete(ds):
     assert len(ds.cells) == 20
     assert len(ds.channels()) == 5
     assert len(ds.standards()) == 4
+
+
+def test_builtin_text_holds_the_rows_the_writer_prints():
+    # The grid is stored as calibration text, a block of rows per channel;
+    # its cells keep that channel-major order.
+    header, *rows = _BUILTIN_TEXT.splitlines()
+    assert header == CALIBRATION_HEADER
+    assert len(rows) == 20
+    assert set(rows) == set(write_calibration(builtin_dataset()).splitlines()[1:])
+    assert list(builtin_dataset().cells) == [(s, c) for c in CHANNELS for s in STANDARDS]
 
 
 def test_builtin_returns_fresh_copies():

@@ -9,7 +9,8 @@ through `_socket`, loads neither `socket` nor `selectors`. None of them
 loads `dataclasses`, the `inspect` that it imports, or `typing`: every
 record is a `collections.namedtuple`. The CLI leaves `json` to JSON output, and
 `tempfile` to a `ram-run` whose output passes what it holds in memory
-(64 KiB). Each child
+(64 KiB). `import iotram.power` leaves the builtin grid's text unparsed
+until the first `builtin_dataset()`. Each child
 runs under `python -S`, because a `.pth` file that `site` runs can load
 `typing` and others first, and a module loaded before the import would pass
 for one the import leaves alone. The same guards run under each other
@@ -99,6 +100,15 @@ assert "iotram.net.service" not in sys.modules
 """
 
 
+# Imports `iotram.power` and prints how many builtin grids its cache holds:
+# the grid's text is parsed on the first `builtin_dataset()`, not on import.
+_BUILTIN_CACHED = """
+import sys
+import iotram.power
+print(sys.modules["iotram.power.dataset"]._builtin_cells.cache_info().currsize)
+"""
+
+
 def _child(script: str, *args: str, python=sys.executable) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(iotram.__file__).parents[1])}
     return subprocess.run(
@@ -137,9 +147,18 @@ def _check_serve(python=sys.executable) -> None:
     assert _unwanted(loaded, ("socket", "selectors", "select", "array")) == []
 
 
+def _check_builtin_unparsed(python=sys.executable) -> None:
+    proc = _child(_BUILTIN_CACHED, python=python)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
 @pytest.mark.parametrize("module,forbidden", IMPORT_GUARDS)
 def test_import_loads_only_what_it_uses(module, forbidden):
     _check_import(module, forbidden)
+
+
+def test_import_leaves_the_builtin_grid_unparsed():
+    _check_builtin_unparsed()
 
 
 def test_priced_ram_run_loads_no_socket_code(tmp_path):
@@ -156,6 +175,7 @@ def test_imports_load_only_what_they_use_under_another_python(python, tmp_path):
         _check_import(module, forbidden, python)
     _check_priced_ram_run(tmp_path, python)
     _check_serve(python)
+    _check_builtin_unparsed(python)
 
 
 def _unwanted(loaded: list[str], forbidden: tuple[str, ...]) -> list[str]:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import ipaddress
 import os
+import subprocess
 import sys
 import time
 from unittest import mock
@@ -450,6 +451,53 @@ def test_a_later_byte_that_is_not_utf8_is_reported_first(trace_path, first, dept
     assert (code, out) == (cli.EXIT_IO, "")
     assert err.startswith(f"iotram: trace {trace_path} is not UTF-8: ")
     assert err.count("\n") == 1
+
+
+def test_a_trace_whose_lines_end_in_cr_alone_is_cut_into_bounded_pieces(trace_path, monkeypatch):
+    # A piece is cut after a line feed of the decoded text, in which universal
+    # newlines have turned each lone `\r` into one. A cut sought among the
+    # bytes, at `b"\n"`, would take such a trace whole as one piece.
+    lengths = []
+
+    def parse(text, start=1):
+        lengths.append(len(text))
+        return parse_trace(text, start)
+
+    monkeypatch.setattr(cli, "_PIECE_CHARS", 64)
+    monkeypatch.setattr(cli, "parse_trace", parse)
+    trace_path.write_bytes(b"R 1\r" * 2000)
+    code, out, err = _ram_run(["ram-run", "--trace", str(trace_path)])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count(" -> ReadOk ") == 2000
+    assert sum(lengths) == 2000 * len("R 1\n")
+    assert max(lengths) <= 64 + len("R 1\n")
+
+
+#: `python -m iotram.cli` with `src` on the path, for a trace piped in.
+_CLI = [sys.executable, "-m", "iotram.cli"]
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_trace_read_from_a_pipe(trace_path):
+    # A pipe cannot seek or tell: a byte that is not UTF-8 is still placed
+    # from the start of the input, past the first read, and a clean pipe
+    # prints what the same trace prints from a file.
+    good = b"W 1 2\r\nR 1\n" * 2000
+    argv = [*_CLI, "ram-run", "--trace", "/dev/stdin"]
+    data = good + b"\xff\nR 1\n"
+    bad = subprocess.run(argv, input=data, capture_output=True, env=_SRC_ENV, timeout=60)
+    assert (bad.returncode, bad.stdout) == (cli.EXIT_IO, b"")
+    assert bad.stderr.decode() == f"iotram: trace /dev/stdin is not UTF-8: {_not_utf8(data)}\n"
+    assert f"position {len(good)}:" in bad.stderr.decode()
+
+    clean = subprocess.run(argv, input=good, capture_output=True, env=_SRC_ENV, timeout=60)
+    trace_path.write_bytes(good)
+    from_file = subprocess.run([*_CLI, "ram-run", "--trace", str(trace_path)],
+                               capture_output=True, env=_SRC_ENV, timeout=60)
+    assert (clean.returncode, clean.stderr) == (EXIT_OK, b"")
+    assert clean.stdout == from_file.stdout
+    assert clean.stdout.count(b"\n") == 4001
 
 
 def _full_disk(*args, **kwargs):
